@@ -5,11 +5,11 @@ set -eux
 
 cargo build --release
 cargo test -q
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc must build clean: the observability schema and Recorder contract
 # live partly in doc comments, so doc warnings are treated as errors.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # Static-assurance gate: witag-lint walks every workspace source file,
 # builds the whole-workspace call graph, and fails (nonzero exit) on any

@@ -24,6 +24,7 @@ use crate::pathloss::{
     backscatter_amplitude, db_to_linear, dbm_to_mw, freespace_amplitude, noise_floor_dbm,
     SPEED_OF_LIGHT,
 };
+use std::rc::Rc;
 use witag_phy::complex::{c64, Complex64};
 use witag_phy::mcs::Mcs;
 use witag_phy::params::SubcarrierLayout;
@@ -77,6 +78,41 @@ impl TagSchedule {
             ltf: mode,
             data: vec![mode; n_symbols],
         }
+    }
+}
+
+/// Channel responses memoised for one `apply_ppdu*` call, keyed by the
+/// tag switch states that produced them.
+///
+/// A tag holds one of a few switch states per OFDM symbol, so a PPDU
+/// meets only a few distinct channels; each is computed once and shared
+/// by every symbol with that key. The memo must not outlive the call:
+/// `advance` drifts the rays between calls.
+pub(crate) struct ResponseMemo<K> {
+    entries: Vec<(K, Rc<[Complex64]>)>,
+}
+
+impl<K: PartialEq> ResponseMemo<K> {
+    /// An empty memo.
+    pub(crate) fn new() -> Self {
+        ResponseMemo {
+            entries: Vec::new(),
+        }
+    }
+
+    /// The response for `key`, computed by `compute` the first time the
+    /// key is met.
+    pub(crate) fn get(
+        &mut self,
+        key: K,
+        compute: impl FnOnce(&K) -> Vec<Complex64>,
+    ) -> Rc<[Complex64]> {
+        if let Some((_, h)) = self.entries.iter().find(|(k, _)| *k == key) {
+            return Rc::clone(h);
+        }
+        let h: Rc<[Complex64]> = compute(&key).into();
+        self.entries.push((key, Rc::clone(&h)));
+        h
     }
 }
 
@@ -488,19 +524,19 @@ impl Link {
         for s in extra_schedules {
             assert!(s.data.len() >= ppdu.symbols.len(), "extra schedule too short");
         }
-        // Precompute per-symbol channel responses (immutable borrows),
-        // then apply noise (mutable RNG borrow) in a second pass.
+        // Channel responses first (immutable borrows), noise (mutable RNG
+        // borrow) in a second pass. Each distinct switch-state tuple —
+        // the primary tag's mode, then the extra tags' — is computed once.
         let freqs: Vec<f64> = (0..layout.n_occupied())
             .map(|pos| layout.freq_offset_hz(pos))
             .collect();
-        let ltf_extra_modes: Vec<TagMode> = extra_schedules.iter().map(|s| s.ltf).collect();
-        let h_ltf = self.response_at_multi(schedule.ltf, &ltf_extra_modes, &freqs);
-        let h_data: Vec<Vec<Complex64>> = (0..ppdu.symbols.len())
-            .map(|i| {
-                let modes: Vec<TagMode> =
-                    extra_schedules.iter().map(|s| s.data[i]).collect();
-                self.response_at_multi(schedule.data[i], &modes, &freqs)
-            })
+        let mut memo = ResponseMemo::new();
+        let mut response = |key: (TagMode, Vec<TagMode>)| {
+            memo.get(key, |(mode, extras)| self.response_at_multi(*mode, extras, &freqs))
+        };
+        let h_ltf = response((schedule.ltf, extra_schedules.iter().map(|s| s.ltf).collect()));
+        let h_data: Vec<_> = (0..ppdu.symbols.len())
+            .map(|i| response((schedule.data[i], extra_schedules.iter().map(|s| s.data[i]).collect())))
             .collect();
 
         let noise_std = (self.noise_var / 2.0).sqrt();
@@ -540,15 +576,11 @@ impl Link {
 
         // DATA symbols.
         let mut symbols = Vec::with_capacity(ppdu.symbols.len());
-        for (i, sym) in ppdu.symbols.iter().enumerate() {
+        for (i, (sym, h)) in ppdu.symbols.iter().zip(&h_data).enumerate() {
             let lo = preamble + i as f64 * sym_dur;
             let extra = if overlaps(lo, lo + sym_dur) { intf_var } else { 0.0 };
             symbols.push(OfdmSymbol {
-                streams: sym
-                    .streams
-                    .iter()
-                    .map(|s| noisy(s, &h_data[i], extra))
-                    .collect(),
+                streams: sym.streams.iter().map(|s| noisy(s, h, extra)).collect(),
             });
         }
 
@@ -944,6 +976,142 @@ mod tests {
         let tx = legacy_transmit(LegacyRate::M24, &psdu);
         let rx = link.apply_legacy(&tx, TagMode::Phase0);
         assert_eq!(legacy_receive(&rx, link.noise_var()), psdu);
+    }
+
+    /// The per-symbol channel pass the response memo replaced: one full
+    /// `response_at_multi` per DATA symbol, then the noise pass in the
+    /// same RNG draw order (bursts, LTF noise, DATA noise by symbol).
+    fn reference_apply_ppdu_multi(
+        link: &mut Link,
+        ppdu: &Ppdu,
+        schedule: &TagSchedule,
+        extra_schedules: &[&TagSchedule],
+    ) -> Ppdu {
+        let layout = ppdu.config.layout();
+        let airtime = ppdu.airtime().as_secs_f64();
+        let sym_dur = ppdu.config.guard.symbol_duration().as_secs_f64();
+        let preamble = ppdu.config.preamble_duration().as_secs_f64();
+        let mut bursts: Vec<(f64, f64)> = Vec::new();
+        if link.cfg.interference_rate_hz > 0.0 {
+            let mut t = link.rng.exponential(link.cfg.interference_rate_hz);
+            while t < airtime {
+                let d = link.rng.exponential(1.0 / link.cfg.interference_duration_s);
+                bursts.push((t, t + d));
+                t += d + link.rng.exponential(link.cfg.interference_rate_hz);
+            }
+        }
+        let intf_var = link.direct.amplitude.norm_sqr() * db_to_linear(link.cfg.interference_rel_db);
+        let overlaps = |lo: f64, hi: f64| bursts.iter().any(|&(a, b)| a < hi && b > lo);
+        let freqs: Vec<f64> = (0..layout.n_occupied()).map(|pos| layout.freq_offset_hz(pos)).collect();
+        let ltf_extra_modes: Vec<TagMode> = extra_schedules.iter().map(|s| s.ltf).collect();
+        let h_ltf = link.response_at_multi(schedule.ltf, &ltf_extra_modes, &freqs);
+        let h_data: Vec<Vec<Complex64>> = (0..ppdu.symbols.len())
+            .map(|i| {
+                let modes: Vec<TagMode> = extra_schedules.iter().map(|s| s.data[i]).collect();
+                link.response_at_multi(schedule.data[i], &modes, &freqs)
+            })
+            .collect();
+        let noise_std = (link.noise_var / 2.0).sqrt();
+        let rng = &mut link.rng;
+        let mut noisy = |carriers: &[Complex64], h: &[Complex64], extra_var: f64| {
+            let extra_std = (extra_var / 2.0).sqrt();
+            carriers
+                .iter()
+                .zip(h.iter())
+                .map(|(&x, &hc)| {
+                    let mut y = x * hc + c64(rng.gaussian() * noise_std, rng.gaussian() * noise_std);
+                    if extra_var > 0.0 {
+                        y += c64(rng.gaussian() * extra_std, rng.gaussian() * extra_std);
+                    }
+                    y
+                })
+                .collect::<Vec<_>>()
+        };
+        let ltf_intf = if overlaps(0.0, preamble) { intf_var } else { 0.0 };
+        let ltfs: Vec<OfdmSymbol> = ppdu
+            .ltfs
+            .iter()
+            .map(|sym| OfdmSymbol {
+                streams: sym.streams.iter().map(|s| noisy(s, &h_ltf, ltf_intf)).collect(),
+            })
+            .collect();
+        let mut symbols = Vec::new();
+        for (i, sym) in ppdu.symbols.iter().enumerate() {
+            let lo = preamble + i as f64 * sym_dur;
+            let extra = if overlaps(lo, lo + sym_dur) { intf_var } else { 0.0 };
+            symbols.push(OfdmSymbol {
+                streams: sym.streams.iter().map(|s| noisy(s, &h_data[i], extra)).collect(),
+            });
+        }
+        Ppdu {
+            config: ppdu.config.clone(),
+            psdu_len: ppdu.psdu_len,
+            ltfs,
+            symbols,
+        }
+    }
+
+    /// Every float of a PPDU's LTFs and DATA symbols, as raw bits.
+    fn ppdu_bits(p: &Ppdu) -> Vec<u64> {
+        p.ltfs
+            .iter()
+            .chain(&p.symbols)
+            .flat_map(|sym| sym.streams.iter().flatten())
+            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+            .collect()
+    }
+
+    /// A schedule alternating Phase0/Phase180 in runs of `run` symbols.
+    fn alternating(ltf: TagMode, run: usize, n: usize) -> TagSchedule {
+        TagSchedule {
+            ltf,
+            data: (0..n)
+                .map(|i| if (i / run).is_multiple_of(2) { TagMode::Phase0 } else { TagMode::Phase180 })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn memoised_responses_match_per_symbol_reference() {
+        // Two extra tags with their own schedules, interference bursts on,
+        // 1- and 2-stream PPDUs, three PPDUs in a row with `advance`
+        // between them: output and RNG state must be bit-identical.
+        let cfg = LinkConfig {
+            interference_rate_hz: 20_000.0,
+            interference_duration_s: 50e-6,
+            ..LinkConfig::default()
+        };
+        let fp = Floorplan::paper_testbed();
+        let mut link = Link::new_multi(
+            &fp,
+            Floorplan::los_client_position(),
+            Floorplan::ap_position(),
+            Some(Point2::new(1.8, 3.5)),
+            &[Point2::new(3.0, 3.2), Point2::new(6.9, 3.6)],
+            cfg,
+            46,
+        );
+        let mut reference = link.clone();
+        for (round, mcs) in [5usize, 13, 7].into_iter().enumerate() {
+            let tx = transmit(&PhyConfig::new(Mcs::ht(mcs)), &[0x3Cu8; 1200]);
+            let n = tx.symbols.len();
+            let primary = alternating(TagMode::Phase0, 1 + round, n);
+            let extra_a = alternating(TagMode::ShortCircuit, 3, n);
+            let extra_b = alternating(TagMode::Phase180, 7, n);
+            let extras = [&extra_a, &extra_b];
+            let got = link.apply_ppdu_multi(&tx, &primary, &extras);
+            let want = reference_apply_ppdu_multi(&mut reference, &tx, &primary, &extras);
+            assert_eq!(ppdu_bits(&got), ppdu_bits(&want), "round {round}: PPDU bits");
+            assert_eq!(got.psdu_len, want.psdu_len);
+            // `apply_ppdu` holds the extra tags absent.
+            let absent = TagSchedule::constant(TagMode::Absent, n);
+            let got = link.apply_ppdu(&tx, &primary);
+            let want = reference_apply_ppdu_multi(&mut reference, &tx, &primary, &[&absent, &absent]);
+            assert_eq!(ppdu_bits(&got), ppdu_bits(&want), "round {round}: apply_ppdu bits");
+            link.advance(Duration::millis(3));
+            reference.advance(Duration::millis(3));
+        }
+        assert_eq!(link.rng.next_u64(), reference.rng.next_u64(), "RNG draw order");
     }
 
     #[test]

@@ -19,17 +19,18 @@
 //! * the **tag ray** is an *exactly rank-1* perturbation: the tag is one
 //!   physical scatterer, so its contribution factors as an outer product
 //!   `u_j·v_i` of the RX-side and TX-side hop responses (the two-hop
-//!   [`backscatter_amplitude`] is separable in the hop distances). When
-//!   the tag flips its switch state, **every entry of `H` moves at
-//!   once** — the MOXcatter observation that a single backscatter
-//!   reflector leaks across all spatial streams simultaneously, which is
-//!   what makes WiTAG-style modulation MIMO-agnostic (paper §4).
+//!   [`backscatter_amplitude`](crate::pathloss::backscatter_amplitude)
+//!   is separable in the hop distances). When the tag flips its switch
+//!   state, **every entry of `H` moves at once** — the MOXcatter
+//!   observation that a single backscatter reflector leaks across all
+//!   spatial streams simultaneously, which is what makes WiTAG-style
+//!   modulation MIMO-agnostic (paper §4).
 //!
 //! Determinism mirrors [`Link`](crate::Link): everything is seeded, and a
 //! given `(floorplan, positions, config, seed)` tuple reproduces the same
 //! matrices bit-for-bit.
 
-use crate::link::{LinkConfig, TagMode, TagSchedule};
+use crate::link::{LinkConfig, ResponseMemo, TagMode, TagSchedule};
 use crate::pathloss::{
     db_to_linear, dbm_to_mw, freespace_amplitude, noise_floor_dbm,
     wavelength, SPEED_OF_LIGHT,
@@ -536,10 +537,11 @@ impl MimoLink {
         let freqs: Vec<f64> = (0..layout.n_occupied())
             .map(|pos| layout.freq_offset_hz(pos))
             .collect();
-        let h_ltf = self.response_at(schedule.ltf, &freqs);
-        let h_data: Vec<Vec<Complex64>> = (0..ppdu.symbols.len())
-            .map(|i| self.response_at(schedule.data[i], &freqs))
-            .collect();
+        // One response per distinct tag mode (see `ResponseMemo`).
+        let mut memo = ResponseMemo::new();
+        let mut response = |mode: TagMode| memo.get(mode, |&m| self.response_at(m, &freqs));
+        let h_ltf = response(schedule.ltf);
+        let h_data: Vec<_> = (0..ppdu.symbols.len()).map(|i| response(schedule.data[i])).collect();
 
         let noise_std = (self.noise_var / 2.0).sqrt();
         let rng = &mut self.rng;
@@ -572,10 +574,10 @@ impl MimoLink {
         let ltf_intf = if overlaps(0.0, preamble) { intf_var } else { 0.0 };
         let ltfs: Vec<OfdmSymbol> = ppdu.ltfs.iter().map(|s| mix(s, &h_ltf, ltf_intf)).collect();
         let mut symbols = Vec::with_capacity(ppdu.symbols.len());
-        for (i, sym) in ppdu.symbols.iter().enumerate() {
+        for (i, (sym, h)) in ppdu.symbols.iter().zip(&h_data).enumerate() {
             let lo = preamble + i as f64 * sym_dur;
             let extra = if overlaps(lo, lo + sym_dur) { intf_var } else { 0.0 };
-            symbols.push(mix(sym, &h_data[i], extra));
+            symbols.push(mix(sym, h, extra));
         }
 
         Ppdu {
@@ -614,6 +616,132 @@ mod tests {
             quiet_cfg(),
             seed,
         )
+    }
+
+    /// The per-symbol matrix channel pass the response memo replaced:
+    /// one full `response_at` per DATA symbol, then the mixing/noise pass
+    /// in the same RNG draw order.
+    fn reference_apply_ppdu(link: &mut MimoLink, ppdu: &Ppdu, schedule: &TagSchedule) -> Ppdu {
+        let n = link.nss;
+        let layout = ppdu.config.layout();
+        let airtime = ppdu.airtime().as_secs_f64();
+        let sym_dur = ppdu.config.guard.symbol_duration().as_secs_f64();
+        let preamble = ppdu.config.preamble_duration().as_secs_f64();
+        let mut bursts: Vec<(f64, f64)> = Vec::new();
+        if link.cfg.link.interference_rate_hz > 0.0 {
+            let mut t = link.rng.exponential(link.cfg.link.interference_rate_hz);
+            while t < airtime {
+                let d = link.rng.exponential(1.0 / link.cfg.link.interference_duration_s);
+                bursts.push((t, t + d));
+                t += d + link.rng.exponential(link.cfg.link.interference_rate_hz);
+            }
+        }
+        let sig_power = link.direct.iter().map(|r| r.amplitude.norm_sqr()).sum::<f64>() / n as f64;
+        let intf_var = sig_power * db_to_linear(link.cfg.link.interference_rel_db);
+        let overlaps = |lo: f64, hi: f64| bursts.iter().any(|&(a, b)| a < hi && b > lo);
+        let freqs: Vec<f64> = (0..layout.n_occupied()).map(|pos| layout.freq_offset_hz(pos)).collect();
+        let h_ltf = link.response_at(schedule.ltf, &freqs);
+        let h_data: Vec<Vec<Complex64>> = (0..ppdu.symbols.len())
+            .map(|i| link.response_at(schedule.data[i], &freqs))
+            .collect();
+        let noise_std = (link.noise_var / 2.0).sqrt();
+        let rng = &mut link.rng;
+        let mut mix = |sym: &OfdmSymbol, h: &[Complex64], extra_var: f64| -> OfdmSymbol {
+            let extra_std = (extra_var / 2.0).sqrt();
+            let streams = (0..n)
+                .map(|j| {
+                    (0..freqs.len())
+                        .map(|pos| {
+                            let mut y = Complex64::ZERO;
+                            for (i, s) in sym.streams.iter().enumerate() {
+                                y += h[pos * n * n + j * n + i] * s[pos];
+                            }
+                            y += c64(rng.gaussian() * noise_std, rng.gaussian() * noise_std);
+                            if extra_var > 0.0 {
+                                y += c64(rng.gaussian() * extra_std, rng.gaussian() * extra_std);
+                            }
+                            y
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            OfdmSymbol { streams }
+        };
+        let ltf_intf = if overlaps(0.0, preamble) { intf_var } else { 0.0 };
+        let ltfs: Vec<OfdmSymbol> = ppdu.ltfs.iter().map(|s| mix(s, &h_ltf, ltf_intf)).collect();
+        let mut symbols = Vec::new();
+        for (i, sym) in ppdu.symbols.iter().enumerate() {
+            let lo = preamble + i as f64 * sym_dur;
+            let extra = if overlaps(lo, lo + sym_dur) { intf_var } else { 0.0 };
+            symbols.push(mix(sym, &h_data[i], extra));
+        }
+        Ppdu {
+            config: ppdu.config.clone(),
+            psdu_len: ppdu.psdu_len,
+            ltfs,
+            symbols,
+        }
+    }
+
+    /// Every float of a PPDU's LTFs and DATA symbols, as raw bits.
+    fn ppdu_bits(p: &Ppdu) -> Vec<u64> {
+        p.ltfs
+            .iter()
+            .chain(&p.symbols)
+            .flat_map(|sym| sym.streams.iter().flatten())
+            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn memoised_responses_match_per_symbol_reference() {
+        // Alternating Phase0/Phase180 DATA runs, a reflecting LTF state,
+        // interference bursts on, three PPDUs with `advance` between
+        // them: output and RNG state must be bit-identical.
+        for nss in [2usize, 3] {
+            let cfg = MimoLinkConfig {
+                link: LinkConfig {
+                    interference_rate_hz: 20_000.0,
+                    interference_duration_s: 50e-6,
+                    ..MimoLinkConfig::rich_scattering().link
+                },
+                ..MimoLinkConfig::rich_scattering()
+            };
+            let fp = Floorplan::paper_testbed();
+            let mut link = MimoLink::new(
+                &fp,
+                Floorplan::los_client_position(),
+                Floorplan::ap_position(),
+                Some(Point2::new(2.0, 3.5)),
+                nss,
+                cfg,
+                60 + nss as u64,
+            );
+            let mut reference = link.clone();
+            let config = PhyConfig::new(Mcs::ht(8 * nss - 3));
+            for round in 0..3usize {
+                let psdus = vec![vec![0x96u8 ^ round as u8; 600]; nss];
+                let tx = witag_phy::transmit_mu(&config, &psdus);
+                let schedule = TagSchedule {
+                    ltf: TagMode::Phase0,
+                    data: (0..tx.symbols.len())
+                        .map(|i| {
+                            if (i / (round + 1)).is_multiple_of(2) {
+                                TagMode::Phase0
+                            } else {
+                                TagMode::Phase180
+                            }
+                        })
+                        .collect(),
+                };
+                let got = link.apply_ppdu(&tx, &schedule);
+                let want = reference_apply_ppdu(&mut reference, &tx, &schedule);
+                assert_eq!(ppdu_bits(&got), ppdu_bits(&want), "nss {nss} round {round}");
+                link.advance(Duration::millis(3));
+                reference.advance(Duration::millis(3));
+            }
+            assert_eq!(link.rng.next_u64(), reference.rng.next_u64(), "nss {nss}: RNG draw order");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Workspace call graph — the back half of the whole-workspace analyzer.
 //!
-//! Consumes the per-file [`FileFacts`](crate::resolve::FileFacts) and
-//! builds one static call graph over every function in the workspace.
+//! Consumes the per-file [`FileFacts`] and builds one static call graph
+//! over every function in the workspace.
 //! Resolution is name-based with receiver-type narrowing, mirroring how
 //! the resolver classified each call site:
 //!
@@ -26,6 +26,7 @@
 //! deterministic, so evidence chains are byte-stable at any thread count.
 
 use crate::resolve::{CallKind, FileFacts, HitKind, TokenHit};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Free functions from the std prelude (or universally glob-imported in
@@ -216,8 +217,8 @@ impl CallGraph {
         let mut parent: BTreeMap<usize, Option<(usize, u32)>> = BTreeMap::new();
         let mut queue: VecDeque<usize> = VecDeque::new();
         for &r in roots {
-            if !parent.contains_key(&r) {
-                parent.insert(r, None);
+            if let Entry::Vacant(e) = parent.entry(r) {
+                e.insert(None);
                 queue.push_back(r);
             }
         }

@@ -291,14 +291,12 @@ fn parse_impl_header(toks: &[Token<'_>], mut j: usize) -> (Option<String>, usize
         while j < toks.len() {
             match toks[j].kind {
                 TokKind::Punct('<') => angle += 1,
-                TokKind::Punct('>') => {
-                    // `->` inside `Fn(..) -> T` bounds is not a closer.
-                    if !(j > 0 && toks[j - 1].is_punct('-')) {
-                        angle -= 1;
-                        if angle == 0 {
-                            j += 1;
-                            break;
-                        }
+                // `->` inside `Fn(..) -> T` bounds is not a closer.
+                TokKind::Punct('>') if !(j > 0 && toks[j - 1].is_punct('-')) => {
+                    angle -= 1;
+                    if angle == 0 {
+                        j += 1;
+                        break;
                     }
                 }
                 _ => {}
@@ -314,10 +312,8 @@ fn parse_impl_header(toks: &[Token<'_>], mut j: usize) -> (Option<String>, usize
         let t = &toks[j];
         match t.kind {
             TokKind::Punct('<') => angle += 1,
-            TokKind::Punct('>') => {
-                if !(j > 0 && toks[j - 1].is_punct('-')) {
-                    angle = angle.saturating_sub(1);
-                }
+            TokKind::Punct('>') if !(j > 0 && toks[j - 1].is_punct('-')) => {
+                angle = angle.saturating_sub(1);
             }
             TokKind::Punct('{') if angle == 0 => break,
             TokKind::Ident if angle == 0 => {
@@ -361,10 +357,8 @@ fn param_names(toks: &[Token<'_>], fn_line: u32, name: &str, body_start: usize) 
     while j < body_start {
         match toks[j].kind {
             TokKind::Punct('<') => angle += 1,
-            TokKind::Punct('>') => {
-                if !(j > 0 && toks[j - 1].is_punct('-')) {
-                    angle = angle.saturating_sub(1);
-                }
+            TokKind::Punct('>') if !(j > 0 && toks[j - 1].is_punct('-')) => {
+                angle = angle.saturating_sub(1);
             }
             TokKind::Punct('(') if angle == 0 => break,
             _ => {}
@@ -755,11 +749,7 @@ fn simd_items(toks: &[Token<'_>], map: &FileMap, out: &mut Vec<SimdItem>) {
                         "not" => has_not = true,
                         _ => {}
                     },
-                    TokKind::Literal => {
-                        if toks[j].text.contains("simd") {
-                            has_simd = true;
-                        }
-                    }
+                    TokKind::Literal if toks[j].text.contains("simd") => has_simd = true,
                     _ => {}
                 }
                 j += 1;

@@ -1,10 +1,10 @@
 //! The rule passes.
 //!
 //! Each pass walks the token stream of one file, guided by the
-//! [`FileMap`](crate::scan::FileMap): test regions are exempt from
-//! every semantic rule, and per-line `// lint:allow(<rule>)` pragmas
-//! suppress individual findings where an invariant is proven structurally
-//! (the pragma is the documentation trail).
+//! [`FileMap`]: test regions are exempt from every semantic rule, and
+//! per-line `// lint:allow(<rule>)` pragmas suppress individual findings
+//! where an invariant is proven structurally (the pragma is the
+//! documentation trail).
 //!
 //! | rule            | forbids                                                            |
 //! |-----------------|--------------------------------------------------------------------|

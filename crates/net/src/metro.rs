@@ -20,9 +20,9 @@
 //!   Readers contend CSMA-style only inside their domain, and
 //!   non-interfering domains advance completely independently — which
 //!   is what makes the engine parallel without a global lock step.
-//! * **Struct-of-arrays tag state.** A [`TagStore`]'s parallel `Vec`s
-//!   (duty phase, cooldown streak, chunks remaining, airtime, DRR
-//!   credit) replace `run_fleet`'s per-tag heap objects — the same SoA
+//! * **Struct-of-arrays tag state.** Each domain's tag store holds
+//!   parallel `Vec`s (duty phase, cooldown streak, chunks remaining,
+//!   airtime, DRR credit) that replace `run_fleet`'s per-tag heap objects — the same SoA
 //!   trick the PR-7 PHY kernels used, here so a million tags fit in a
 //!   few flat allocations that scan linearly.
 //! * **Calendar-queue wakeups.** Cooldown expiries and medium accesses

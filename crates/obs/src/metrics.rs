@@ -2,7 +2,7 @@
 //! fixed-bucket histograms, fed by recording events.
 //!
 //! Everything here is fixed-shape — counter arrays indexed by position
-//! in [`KINDS`](crate::KINDS) / [`FAULT_CLASS_NAMES`] and histograms
+//! in [`KINDS`] / [`FAULT_CLASS_NAMES`] and histograms
 //! over `const` bucket bounds — so rendering order is deterministic by
 //! construction (no hash maps anywhere, per the determinism lint).
 
@@ -90,7 +90,7 @@ impl Histogram {
 /// A [`Recorder`] that folds events into counters and histograms as
 /// they arrive, for callers that want aggregates without a trace file.
 ///
-/// Per-kind counts are indexed by [`KINDS`](crate::KINDS) position and
+/// Per-kind counts are indexed by [`KINDS`] position and
 /// fault-class counts by [`FAULT_CLASS_NAMES`] position, so
 /// [`summary`](Self::summary) renders in one fixed order.
 ///
@@ -142,7 +142,7 @@ impl MetricsRecorder {
         }
     }
 
-    /// Events seen for `kind` (a [`KINDS`](crate::KINDS) entry);
+    /// Events seen for `kind` (a [`KINDS`] entry);
     /// 0 for unknown names.
     pub fn count(&self, kind: &str) -> u64 {
         KINDS

@@ -77,7 +77,7 @@ impl TraceSummary {
         self.kind_counts.iter().sum()
     }
 
-    /// Lines whose `kind` was not in [`KINDS`](crate::KINDS) — a
+    /// Lines whose `kind` was not in [`KINDS`] — a
     /// version-skew tripwire.
     pub fn unknown(&self) -> u64 {
         self.unknown
@@ -89,7 +89,7 @@ impl TraceSummary {
     }
 
     /// Events counted for `kind`; 0 for names outside
-    /// [`KINDS`](crate::KINDS).
+    /// [`KINDS`].
     pub fn count(&self, kind: &str) -> u64 {
         KINDS
             .iter()

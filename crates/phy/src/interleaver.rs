@@ -79,10 +79,10 @@ fn permutation(d: InterleaverDims) -> Vec<usize> {
 
 /// A precomputed interleaver permutation for one set of dimensions.
 ///
-/// Computing the permutation involves a division per bit position, which
-/// the seed implementation repeated for every OFDM symbol. Building it
-/// once (e.g. inside a receive scratch) and reusing it across symbols
-/// removes that cost and the per-symbol table allocation.
+/// Computing the permutation involves a division per bit position, so
+/// callers build it once (per PPDU on transmit, inside the receive
+/// scratch on receive) and reuse it for every symbol. This is the only
+/// way to (de)interleave.
 #[derive(Debug, Clone)]
 pub struct InterleaverPerm {
     dims: InterleaverDims,
@@ -103,8 +103,11 @@ impl InterleaverPerm {
         self.dims
     }
 
-    /// [`interleave`] using the cached table, writing into `out`
+    /// Interleave one symbol's worth of items (bits at TX) into `out`
     /// (cleared and resized first).
+    ///
+    /// # Panics
+    /// Panics if `items.len() != dims().n_cbps`.
     // lint:no_alloc
     pub fn interleave_into<T: Copy + Default>(&self, items: &[T], out: &mut Vec<T>) {
         assert_eq!(items.len(), self.dims.n_cbps, "one full symbol at a time");
@@ -115,8 +118,8 @@ impl InterleaverPerm {
         }
     }
 
-    /// [`deinterleave`] using the cached table, writing into `out`
-    /// (cleared and resized first).
+    /// Inverse of [`Self::interleave_into`] (LLRs at RX), writing into
+    /// `out` (cleared first).
     // lint:no_alloc
     pub fn deinterleave_into<T: Copy + Default>(&self, items: &[T], out: &mut Vec<T>) {
         assert_eq!(items.len(), self.dims.n_cbps, "one full symbol at a time");
@@ -143,23 +146,6 @@ impl InterleaverPerm {
             *o = items[p];
         }
     }
-}
-
-/// Interleave one symbol's worth of items (bits at TX).
-///
-/// # Panics
-/// Panics if `items.len() != d.n_cbps`.
-pub fn interleave<T: Copy + Default>(items: &[T], d: InterleaverDims) -> Vec<T> {
-    let mut out = Vec::new();
-    InterleaverPerm::new(d).interleave_into(items, &mut out);
-    out
-}
-
-/// Inverse of [`interleave`] (LLRs at RX).
-pub fn deinterleave<T: Copy + Default>(items: &[T], d: InterleaverDims) -> Vec<T> {
-    let mut out = Vec::new();
-    InterleaverPerm::new(d).deinterleave_into(items, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -195,9 +181,11 @@ mod tests {
     #[test]
     fn roundtrip_identity() {
         for d in all_dims() {
+            let perm = InterleaverPerm::new(d);
             let data: Vec<u8> = (0..d.n_cbps).map(|i| ((i * 7) % 2) as u8).collect();
-            let tx = interleave(&data, d);
-            let rx = deinterleave(&tx, d);
+            let (mut tx, mut rx) = (Vec::new(), Vec::new());
+            perm.interleave_into(&data, &mut tx);
+            perm.deinterleave_into(&tx, &mut rx);
             assert_eq!(rx, data, "{d:?}");
         }
     }
@@ -235,7 +223,8 @@ mod tests {
         for slot in rx.iter_mut().skip(30).take(12) {
             *slot = 1;
         }
-        let code_order = deinterleave(&rx, d);
+        let mut code_order = Vec::new();
+        InterleaverPerm::new(d).deinterleave_into(&rx, &mut code_order);
         let positions: Vec<usize> = code_order
             .iter()
             .enumerate()
@@ -255,6 +244,6 @@ mod tests {
     #[should_panic(expected = "one full symbol")]
     fn wrong_length_rejected() {
         let d = InterleaverDims::ht(Bandwidth::Mhz20, 1);
-        let _ = interleave(&[0u8; 51], d);
+        InterleaverPerm::new(d).interleave_into(&[0u8; 51], &mut Vec::new());
     }
 }

@@ -13,11 +13,10 @@
 
 use crate::complex::Complex64;
 use crate::convolutional::{encode_stream, puncture};
-use crate::interleaver::{interleave, InterleaverDims};
+use crate::interleaver::InterleaverDims;
 use crate::mcs::{CodeRate, Modulation};
-use crate::modulation::modulate;
 use crate::params::timing;
-use crate::ppdu::{bytes_to_bits, pilot_values, OfdmSymbol};
+use crate::ppdu::{bytes_to_bits, OfdmSymbol, SymbolMapper};
 use crate::receiver::RxScratch;
 use crate::scrambler::Scrambler;
 use std::sync::LazyLock;
@@ -161,22 +160,17 @@ pub fn legacy_transmit(rate: LegacyRate, psdu: &[u8]) -> LegacyPpdu {
     let ncbps = dims.n_cbps;
     debug_assert_eq!(coded.len(), n_sym * ncbps);
 
-    let pilots = pilot_values(4);
+    let mut mapper = SymbolMapper::new(
+        dims,
+        rate.modulation(),
+        layout.n_occupied(),
+        layout.data_positions(),
+        layout.pilot_positions(),
+    );
     let symbols = coded
         .chunks(ncbps)
-        .map(|chunk| {
-            let tx_order = interleave(chunk, dims);
-            let points = modulate(&tx_order, rate.modulation());
-            let mut carriers = vec![Complex64::ZERO; layout.n_occupied()];
-            for (&pos, &pt) in layout.data_positions().iter().zip(points.iter()) {
-                carriers[pos] = pt;
-            }
-            for (&pos, &pv) in layout.pilot_positions().iter().zip(pilots.iter()) {
-                carriers[pos] = pv;
-            }
-            OfdmSymbol {
-                streams: vec![carriers],
-            }
+        .map(|chunk| OfdmSymbol {
+            streams: vec![mapper.map_stream(chunk)],
         })
         .collect();
 

@@ -314,16 +314,20 @@ pub fn transmit_mu(config: &PhyConfig, psdus: &[Vec<u8>]) -> Ppdu {
         "MU streams must carry equal-length PSDUs"
     );
 
-    let per_stream: Vec<Ppdu> = (0..nss)
-        .map(|i| transmit(&mu_stream_config(config, i), &psdus[i]))
+    // Symbol k takes stream i's carriers from single-stream PPDU i, moved
+    // out so every carrier vector is allocated once.
+    let mut per_stream: Vec<_> = psdus
+        .iter()
+        .enumerate()
+        .map(|(i, psdu)| transmit(&mu_stream_config(config, i), psdu).symbols.into_iter())
         .collect();
-    let n_sym = per_stream[0].symbols.len();
+    let n_sym = per_stream.first().map_or(0, |s| s.len());
     let mut symbols = Vec::with_capacity(n_sym);
-    for k in 0..n_sym {
+    for _ in 0..n_sym {
         symbols.push(OfdmSymbol {
             streams: per_stream
-                .iter()
-                .map(|tx| tx.symbols[k].streams[0].clone())
+                .iter_mut()
+                .filter_map(|tx| tx.next()?.streams.into_iter().next())
                 .collect(),
         });
     }
@@ -374,10 +378,10 @@ mod tests {
     fn p_rows_are_orthogonal_per_stream_count() {
         for nss in 1..=4usize {
             let n_ltf = ht_ltf_count(nss);
-            for i in 0..nss {
-                for k in 0..nss {
+            for (i, row_i) in P_HTLTF.iter().take(nss).enumerate() {
+                for (k, row_k) in P_HTLTF.iter().take(nss).enumerate() {
                     let dot: f64 =
-                        (0..n_ltf).map(|n| P_HTLTF[i][n] * P_HTLTF[k][n]).sum();
+                        row_i.iter().zip(row_k).take(n_ltf).map(|(a, b)| a * b).sum();
                     let expect = if i == k { n_ltf as f64 } else { 0.0 };
                     assert_eq!(dot, expect, "nss={nss} rows {i},{k}");
                 }

@@ -26,8 +26,8 @@
 
 use crate::complex::{c64, Complex64};
 use crate::convolutional::{encode_stream, puncture};
-use crate::interleaver::{interleave, InterleaverDims};
-use crate::mcs::Mcs;
+use crate::interleaver::{InterleaverDims, InterleaverPerm};
+use crate::mcs::{Mcs, Modulation};
 use crate::modulation::modulate;
 use crate::params::{ht_preamble_duration, Bandwidth, GuardInterval, SubcarrierLayout};
 use crate::scrambler::Scrambler;
@@ -235,12 +235,24 @@ pub fn bits_to_bytes_into(bits: &[u8], out: &mut Vec<u8>) {
 /// Split one symbol's coded bits round-robin across spatial streams in
 /// groups of `s = max(1, N_BPSCS/2)` bits (802.11n stream parser).
 pub fn parse_streams(coded: &[u8], nss: usize, n_bpscs: usize) -> Vec<Vec<u8>> {
+    (0..nss)
+        .map(|ss| {
+            let mut stream = Vec::with_capacity(coded.len() / nss);
+            parse_stream_into(coded, nss, n_bpscs, ss, &mut stream);
+            stream
+        })
+        .collect()
+}
+
+/// Stream `ss`'s share of [`parse_streams`], written into `out` (cleared
+/// first) so the transmit chain reuses one buffer across symbols.
+// lint:no_alloc
+fn parse_stream_into(coded: &[u8], nss: usize, n_bpscs: usize, ss: usize, out: &mut Vec<u8>) {
     let s = (n_bpscs / 2).max(1);
-    let mut streams = vec![Vec::with_capacity(coded.len() / nss); nss];
-    for (g, group) in coded.chunks(s).enumerate() {
-        streams[g % nss].extend_from_slice(group);
+    out.clear();
+    for group in coded.chunks(s).skip(ss).step_by(nss) {
+        out.extend_from_slice(group);
     }
-    streams
 }
 
 /// Inverse of [`parse_streams`] for receiver-side soft values.
@@ -291,6 +303,67 @@ fn data_field_bits(config: &PhyConfig, psdu: &[u8]) -> Vec<u8> {
     bits
 }
 
+/// The per-PPDU invariants of the symbol mapper: the interleaver table,
+/// the constellation, and a carrier template with the pilots in place.
+/// [`transmit`] and [`crate::legacy::legacy_transmit`] build one per PPDU
+/// and map every DATA symbol through it.
+pub(crate) struct SymbolMapper<'a> {
+    perm: InterleaverPerm,
+    /// `constellation[v]` is the point of the MSB-first bit pattern `v`.
+    constellation: Vec<Complex64>,
+    bpsc: usize,
+    data_positions: &'a [usize],
+    /// Every occupied carrier: pilots set, data carriers zero.
+    template: Vec<Complex64>,
+    /// One stream's bits in transmit (interleaved) order.
+    tx_order: Vec<u8>,
+}
+
+impl<'a> SymbolMapper<'a> {
+    /// Build the tables for one PPDU's tone plan and modulation.
+    pub(crate) fn new(
+        dims: InterleaverDims,
+        modulation: Modulation,
+        n_occupied: usize,
+        data_positions: &'a [usize],
+        pilot_positions: &[usize],
+    ) -> Self {
+        let bpsc = modulation.bits_per_subcarrier();
+        // Every bit pattern goes through `modulate` itself, so the table
+        // holds exactly the points a per-symbol call would produce.
+        let patterns: Vec<u8> = (0..1usize << bpsc)
+            .flat_map(|v| (0..bpsc).rev().map(move |b| ((v >> b) & 1) as u8))
+            .collect();
+        let mut template = vec![Complex64::ZERO; n_occupied];
+        let pilots = pilot_values(pilot_positions.len());
+        for (&pos, &pv) in pilot_positions.iter().zip(pilots.iter()) {
+            template[pos] = pv;
+        }
+        SymbolMapper {
+            perm: InterleaverPerm::new(dims),
+            constellation: modulate(&patterns, modulation),
+            bpsc,
+            data_positions,
+            template,
+            tx_order: Vec::with_capacity(dims.n_cbps),
+        }
+    }
+
+    /// Interleave and map one stream's code-order bits for one symbol
+    /// onto its occupied carriers (storage order).
+    pub(crate) fn map_stream(&mut self, stream_bits: &[u8]) -> Vec<Complex64> {
+        self.perm.interleave_into(stream_bits, &mut self.tx_order);
+        // The table has 2^bpsc entries, so the mask never changes `v`.
+        let mask = self.constellation.len() - 1;
+        let mut carriers = self.template.clone();
+        for (&pos, bits) in self.data_positions.iter().zip(self.tx_order.chunks_exact(self.bpsc)) {
+            let v = bits.iter().fold(0usize, |acc, &b| (acc << 1) | b as usize);
+            carriers[pos] = self.constellation[v & mask];
+        }
+        carriers
+    }
+}
+
 /// Transmit: encode a PSDU into a PPDU.
 ///
 /// # Panics
@@ -308,23 +381,20 @@ pub fn transmit(config: &PhyConfig, psdu: &[u8]) -> Ppdu {
     let coded = puncture(&mother, config.mcs.code_rate);
     debug_assert_eq!(coded.len() % ncbps, 0, "puncturing must align to symbols");
 
-    let pilots = pilot_values(layout.pilot_positions().len());
+    let mut mapper = SymbolMapper::new(
+        dims,
+        config.mcs.modulation,
+        layout.n_occupied(),
+        layout.data_positions(),
+        layout.pilot_positions(),
+    );
+    let mut stream_bits = Vec::with_capacity(dims.n_cbps);
     let mut symbols = Vec::with_capacity(coded.len() / ncbps);
     for chunk in coded.chunks(ncbps) {
-        let stream_bits = parse_streams(chunk, nss, n_bpscs);
         let mut streams = Vec::with_capacity(nss);
-        for sb in &stream_bits {
-            let tx_order = interleave(sb, dims);
-            let points = modulate(&tx_order, config.mcs.modulation);
-            // Place data points and pilots into storage order.
-            let mut carriers = vec![Complex64::ZERO; layout.n_occupied()];
-            for (&pos, &pt) in layout.data_positions().iter().zip(points.iter()) {
-                carriers[pos] = pt;
-            }
-            for (&pos, &pv) in layout.pilot_positions().iter().zip(pilots.iter()) {
-                carriers[pos] = pv;
-            }
-            streams.push(carriers);
+        for ss in 0..nss {
+            parse_stream_into(chunk, nss, n_bpscs, ss, &mut stream_bits);
+            streams.push(mapper.map_stream(&stream_bits));
         }
         symbols.push(OfdmSymbol { streams });
     }

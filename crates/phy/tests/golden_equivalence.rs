@@ -5,8 +5,8 @@
 //! The reference implementations below are transcriptions of the seed
 //! code (pre-optimisation), kept here as executable specification: the
 //! textbook Viterbi with a full predecessor table, the Vec-per-call
-//! demapper, and the recompute-the-permutation-every-symbol
-//! deinterleaver. Every test drives reference and optimised kernel with
+//! demapper, the recompute-the-permutation-every-symbol
+//! deinterleaver, and the per-symbol transmit mapper. Every test drives reference and optimised kernel with
 //! the same inputs across the MCS / bandwidth / code-rate space and
 //! asserts exact equality — floats included, because the optimised
 //! kernels are required to perform the same IEEE operations in the same
@@ -17,11 +17,12 @@ use witag_phy::convolutional::{
     bits_to_llrs, encode_stream, puncture, depuncture, viterbi_decode, viterbi_decode_stream,
     CONSTRAINT, TAIL_BITS,
 };
-use witag_phy::interleaver::{deinterleave, interleave, InterleaverDims};
+use witag_phy::interleaver::{InterleaverDims, InterleaverPerm};
 use witag_phy::mcs::{CodeRate, Mcs, Modulation};
 use witag_phy::modulation::{demodulate_llr, modulate};
 use witag_phy::params::Bandwidth;
-use witag_phy::ppdu::{transmit, PhyConfig};
+use witag_phy::ppdu::{bytes_to_bits, pilot_values, transmit, OfdmSymbol, PhyConfig};
+use witag_phy::scrambler::Scrambler;
 use witag_phy::receiver::{receive, receive_with_scratch, RxScratch};
 use witag_sim::Rng;
 
@@ -278,7 +279,10 @@ fn interleaver_roundtrips_for_every_dimension_set() {
     }
     for d in dims {
         let llrs: Vec<f64> = (0..d.n_cbps).map(|_| rng.gaussian()).collect();
-        let rt = deinterleave(&interleave(&llrs, d), d);
+        let perm = InterleaverPerm::new(d);
+        let (mut tx, mut rt) = (Vec::new(), Vec::new());
+        perm.interleave_into(&llrs, &mut tx);
+        perm.deinterleave_into(&tx, &mut rt);
         assert_eq!(rt, llrs, "{d:?}");
     }
 }
@@ -439,7 +443,7 @@ fn legacy_receive_many_matches_per_ppdu_receive_loop() {
                 for pt in sym.streams[0].iter_mut() {
                     let re = rng.range_f64(-1.0, 1.0) * noise_var.sqrt();
                     let im = rng.range_f64(-1.0, 1.0) * noise_var.sqrt();
-                    *pt = *pt + witag_phy::complex::c64(re, im);
+                    *pt += witag_phy::complex::c64(re, im);
                 }
             }
             noisy
@@ -459,5 +463,161 @@ fn legacy_receive_many_matches_per_ppdu_receive_loop() {
     for (i, ((rx, nv), m)) in pairs.iter().zip(mixed.iter()).enumerate() {
         let solo = legacy_receive_with_scratch(rx, *nv, &mut RxScratch::new());
         assert_eq!(&solo, m, "mixed legacy subframe {i}");
+    }
+}
+
+/// The seed's DATA-field bit stream: SERVICE ‖ PSDU ‖ tail ‖ pad,
+/// scrambled, with the 6 tail bits re-zeroed.
+fn reference_data_field_bits(psdu: &[u8], ndbps: usize, seed: u8) -> Vec<u8> {
+    let n_sym = (16 + 8 * psdu.len() + 6).div_ceil(ndbps);
+    let mut bits = vec![0u8; 16];
+    bits.extend_from_slice(&bytes_to_bits(psdu));
+    bits.resize(n_sym * ndbps, 0);
+    Scrambler::new(seed).apply(&mut bits);
+    for bit in bits.iter_mut().skip(16 + 8 * psdu.len()).take(6) {
+        *bit = 0;
+    }
+    bits
+}
+
+/// The seed's per-symbol transmit mapper: stream parse, a freshly built
+/// interleaver table, `modulate` on the symbol, then data carriers and
+/// pilots placed into a fresh carrier vector — once per symbol per
+/// stream.
+fn reference_map_symbols(
+    coded: &[u8],
+    nss: usize,
+    modulation: Modulation,
+    dims: InterleaverDims,
+    data_positions: &[usize],
+    pilot_positions: &[usize],
+    n_occupied: usize,
+) -> Vec<OfdmSymbol> {
+    let n_bpscs = modulation.bits_per_subcarrier();
+    let s = (n_bpscs / 2).max(1);
+    let pilots = pilot_values(pilot_positions.len());
+    coded
+        .chunks(dims.n_cbps * nss)
+        .map(|chunk| {
+            let mut stream_bits = vec![Vec::new(); nss];
+            for (g, group) in chunk.chunks(s).enumerate() {
+                stream_bits[g % nss].extend_from_slice(group);
+            }
+            let streams = stream_bits
+                .iter()
+                .map(|sb| {
+                    let mut tx_order = Vec::new();
+                    InterleaverPerm::new(dims).interleave_into(sb, &mut tx_order);
+                    let points = modulate(&tx_order, modulation);
+                    let mut carriers = vec![Complex64::ZERO; n_occupied];
+                    for (&pos, &pt) in data_positions.iter().zip(points.iter()) {
+                        carriers[pos] = pt;
+                    }
+                    for (&pos, &pv) in pilot_positions.iter().zip(pilots.iter()) {
+                        carriers[pos] = pv;
+                    }
+                    carriers
+                })
+                .collect();
+            OfdmSymbol { streams }
+        })
+        .collect()
+}
+
+/// Assert two symbol sequences equal bit for bit on every point.
+fn assert_symbols_bit_identical(got: &[OfdmSymbol], want: &[OfdmSymbol], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: symbol count");
+    for (k, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.streams.len(), w.streams.len(), "{what}: symbol {k} stream count");
+        for (ss, (gs, ws)) in g.streams.iter().zip(&w.streams).enumerate() {
+            assert_eq!(gs.len(), ws.len(), "{what}: symbol {k} stream {ss} carriers");
+            for (pos, (a, b)) in gs.iter().zip(ws).enumerate() {
+                assert!(
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                    "{what}: symbol {k} stream {ss} carrier {pos}: {a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn transmit_matches_per_symbol_reference_for_every_ht_mcs() {
+    // `transmit` builds its interleaver table, constellation and pilot
+    // template once per PPDU; the reference rebuilds them per symbol.
+    // The on-air points and LTFs must agree bit for bit.
+    let mut rng = Rng::seed_from_u64(0x7_1A6);
+    let mut long = vec![0u8; 211];
+    rng.fill_bytes(&mut long);
+    // Every HT MCS 0–23 has a whole number of data bits per symbol at
+    // all three widths, so 80 MHz needs no exclusions here.
+    for bw in [Bandwidth::Mhz20, Bandwidth::Mhz40, Bandwidth::Mhz80] {
+        for idx in 0..24usize {
+            let mcs = Mcs::ht(idx);
+            let config = PhyConfig::with_bandwidth(mcs, bw);
+            let layout = config.layout();
+            let dims = InterleaverDims::ht(bw, mcs.modulation.bits_per_subcarrier());
+            for psdu in [&long[..], &long[..1]] {
+                let bits = reference_data_field_bits(psdu, config.ndbps(), config.scrambler_seed);
+                let coded = puncture(&encode_stream(&bits), mcs.code_rate);
+                let want = reference_map_symbols(
+                    &coded,
+                    mcs.spatial_streams,
+                    mcs.modulation,
+                    dims,
+                    layout.data_positions(),
+                    layout.pilot_positions(),
+                    layout.n_occupied(),
+                );
+                let ppdu = transmit(&config, psdu);
+                let what = format!("mcs{idx}/{bw:?}/{}B", psdu.len());
+                assert_symbols_bit_identical(&ppdu.symbols, &want, &what);
+                let ltfs = witag_phy::mimo::ltf_symbols(mcs.spatial_streams, layout.n_occupied());
+                assert_symbols_bit_identical(&ppdu.ltfs, &ltfs, &format!("{what} LTF"));
+            }
+        }
+    }
+}
+
+#[test]
+fn legacy_transmit_matches_per_symbol_reference_for_every_rate() {
+    use witag_phy::legacy::{legacy_transmit, LegacyLayout, LegacyRate};
+    let mut rng = Rng::seed_from_u64(0x7_1A7);
+    let mut psdu = vec![0u8; 32];
+    rng.fill_bytes(&mut psdu);
+    let layout = LegacyLayout::cached();
+    for rate in [
+        LegacyRate::M6,
+        LegacyRate::M9,
+        LegacyRate::M12,
+        LegacyRate::M18,
+        LegacyRate::M24,
+        LegacyRate::M36,
+        LegacyRate::M48,
+        LegacyRate::M54,
+    ] {
+        let modulation = rate.modulation();
+        let bits = reference_data_field_bits(&psdu, rate.ndbps(), 0x2F);
+        let coded = puncture(&encode_stream(&bits), rate.code_rate());
+        let want = reference_map_symbols(
+            &coded,
+            1,
+            modulation,
+            InterleaverDims::legacy(modulation.bits_per_subcarrier()),
+            layout.data_positions(),
+            layout.pilot_positions(),
+            layout.n_occupied(),
+        );
+        let ppdu = legacy_transmit(rate, &psdu);
+        let what = format!("{rate:?}");
+        assert_symbols_bit_identical(&ppdu.symbols, &want, &what);
+        let ltf = OfdmSymbol {
+            streams: vec![vec![Complex64::ONE; layout.n_occupied()]],
+        };
+        assert_symbols_bit_identical(
+            std::slice::from_ref(&ppdu.ltf),
+            std::slice::from_ref(&ltf),
+            &format!("{what} LTF"),
+        );
     }
 }

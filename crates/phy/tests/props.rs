@@ -8,7 +8,7 @@ use witag_phy::convolutional::{
     bits_to_llrs, decode_punctured, encode_punctured, encode_stream, viterbi_decode_stream,
     CodeRate,
 };
-use witag_phy::interleaver::{deinterleave, interleave, InterleaverDims};
+use witag_phy::interleaver::{InterleaverDims, InterleaverPerm};
 use witag_phy::mcs::{Mcs, Modulation};
 use witag_phy::modulation::{demodulate_hard, modulate};
 use witag_phy::params::Bandwidth;
@@ -92,7 +92,10 @@ proptest! {
         let d = InterleaverDims::ht(bw, n_bpscs);
         let mut rng = witag_sim::Rng::seed_from_u64(seed);
         let data: Vec<u8> = (0..d.n_cbps).map(|_| (rng.next_u64() & 1) as u8).collect();
-        let rx = deinterleave(&interleave(&data, d), d);
+        let perm = InterleaverPerm::new(d);
+        let (mut tx, mut rx) = (Vec::new(), Vec::new());
+        perm.interleave_into(&data, &mut tx);
+        perm.deinterleave_into(&tx, &mut rx);
         prop_assert_eq!(rx, data);
     }
 

@@ -3,9 +3,9 @@
 //! The build environment has no access to a crates.io mirror, so this
 //! crate provides the slice of proptest's surface the workspace's
 //! property tests actually use: the [`proptest!`] macro, `prop_assert*`
-//! / [`prop_assume!`], [`strategy::Strategy`] with ranges / [`any`] /
-//! [`collection`] / [`prop_oneof!`] / [`strategy::Just`], and
-//! `prop::sample::Index`.
+//! / [`prop_assume!`], [`strategy::Strategy`] with ranges /
+//! [`any`](arbitrary::any) / [`collection`] / [`prop_oneof!`] /
+//! [`strategy::Just`], and `prop::sample::Index`.
 //!
 //! Differences from the real crate, accepted deliberately:
 //!
@@ -127,7 +127,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice between boxed strategies (backs [`prop_oneof!`]).
+    /// Uniform choice between boxed strategies (backs [`prop_oneof!`](crate::prop_oneof)).
     pub struct Union<T> {
         options: Vec<Box<dyn Strategy<Value = T>>>,
     }
@@ -423,16 +423,22 @@ macro_rules! __proptest_fns {
     };
 }
 
+/// Run one generated case's body; `prop_assume!` leaves it early with
+/// `ControlFlow::Break`, which skips the case.
+#[doc(hidden)]
+pub fn __run_case(body: impl FnOnce() -> core::ops::ControlFlow<()>) {
+    let _ = body();
+}
+
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __proptest_case {
     ( $rng:ident, $body:block, $(,)? ) => {
-        let __flow = (|| -> ::core::ops::ControlFlow<()> {
+        $crate::__run_case(|| -> ::core::ops::ControlFlow<()> {
             $body
             #[allow(unreachable_code)]
             ::core::ops::ControlFlow::Continue(())
-        })();
-        let _ = __flow;
+        });
     };
     ( $rng:ident, $body:block, mut $pname:ident in $strat:expr $(, $($rest:tt)*)? ) => {
         #[allow(unused_mut)]

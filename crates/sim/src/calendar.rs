@@ -16,7 +16,7 @@
 //! The contract is identical to [`EventQueue`](crate::EventQueue) —
 //! min order on `(time, seq)` so simultaneous events pop FIFO, a
 //! monotone clock, and a panic on scheduling into the past — and both
-//! structures implement the [`Timeline`](crate::event::Timeline)
+//! structures implement the [`Timeline`]
 //! abstraction, which is what lets the property tests drive the two
 //! against each other on random workloads.
 
