@@ -5,6 +5,11 @@ set -eux
 
 cargo build --release
 cargo test -q
+# `cargo test -q` covers only the root package. The scheduler, fleet and
+# metro unit tests live in witag-net, and the portable-kernel phy goldens
+# run nowhere else (the simd run below builds witag-phy with the feature).
+cargo test -q -p witag-net
+cargo test -q --release -p witag-phy
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc must build clean: the observability schema and Recorder contract

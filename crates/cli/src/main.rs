@@ -18,7 +18,7 @@
 //!              [--duty 0.0] [--duty-period 4000]
 //!              [--replicas 1] [--threads N] [--trace out.jsonl]
 //! witag net    --cells 16 [--readers 16] [--tags 10000]
-//!              [--scheduler rr|fair|edf|serial|pred] [--channels 3]
+//!              [--scheduler rr|fair|edf|serial] [--channels 3]
 //!              [--batch 8] [--epoch 1000] [--horizon 60000] [--seed 42]
 //!              [--duty 0.0] [--duty-period 4000]
 //!              [--threads N] [--trace out.jsonl]
@@ -668,7 +668,7 @@ fn cmd_net_metro(a: &Args) -> Result<(), ArgError> {
             return Err(ArgError::BadValue {
                 key: "scheduler".into(),
                 value: sched_name,
-                expected: "rr|fair|edf|serial|pred",
+                expected: "rr|fair|edf|serial",
             })
         }
     };

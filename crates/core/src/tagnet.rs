@@ -508,13 +508,13 @@ pub(crate) fn base_report_payload(base: usize) -> Vec<u8> {
 /// reported base mod 16 (a cheap consistency check on top of the CRC).
 /// Public so external session drivers (the `witag-net` fleet layer)
 /// can interpret slide/resync responses without reimplementing the
-/// framing.
+/// framing. A payload shorter than a base report (20 bits) is `None`.
 pub fn parse_base_report(seq: u8, payload: &[u8]) -> Option<usize> {
-    let magic = payload[..8].iter().fold(0u8, |acc, &b| (acc << 1) | b);
+    let magic = payload.get(..8)?.iter().fold(0u8, |acc, &b| (acc << 1) | b);
     if magic != BASE_REPORT_MAGIC {
         return None;
     }
-    let base = payload[8..20].iter().fold(0usize, |acc, &b| (acc << 1) | b as usize);
+    let base = payload.get(8..20)?.iter().fold(0usize, |acc, &b| (acc << 1) | b as usize);
     (seq == (base % 16) as u8).then_some(base)
 }
 

@@ -255,6 +255,10 @@ pub enum NetError {
     NoTags,
     /// A metro run was configured with zero grid cells.
     NoCells,
+    /// A metro run was configured with a policy the metro engine does
+    /// not implement: `pred`'s deferral election needs the fleet
+    /// engine's single shared medium.
+    MetroScheduler(SchedulerKind),
     /// A tag's per-query capacity cannot carry one transport chunk.
     ChannelTooSmall {
         /// Offending tag index.
@@ -272,6 +276,11 @@ impl core::fmt::Display for NetError {
             NetError::NoClients => write!(f, "fleet needs at least one client"),
             NetError::NoTags => write!(f, "fleet needs at least one tag"),
             NetError::NoCells => write!(f, "metro needs at least one cell"),
+            NetError::MetroScheduler(kind) => write!(
+                f,
+                "metro does not support the {} scheduler (use rr, fair, edf or serial)",
+                kind.name()
+            ),
             NetError::ChannelTooSmall { tag, channel_bits } => write!(
                 f,
                 "tag {tag}: {channel_bits} channel bits cannot carry a chunk \
@@ -706,6 +715,16 @@ impl TagLink {
         }
     }
 
+    /// What a scheduler sees of this link.
+    fn candidate(&self, tag: usize) -> Candidate {
+        Candidate {
+            tag,
+            airtime_used: self.airtime_used,
+            round_airtime: self.exchange,
+            deadline: self.deadline,
+        }
+    }
+
     fn outcome(&self, tag: usize) -> TagOutcome {
         TagOutcome {
             tag,
@@ -822,32 +841,37 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
     let mut collisions = 0u64;
     let mut elapsed = Duration::ZERO;
 
+    // Servable tags per client, kept in ascending tag order as tags
+    // change state rather than rebuilt per access: every unfinished tag
+    // is either in its client's list (ready at the next access) or in
+    // `cooling`, keyed by the instant its cooldown expires.
+    let mut servable: Vec<Vec<Candidate>> = vec![Vec::new(); cfg.clients];
+    for (tag, link) in links.iter().enumerate() {
+        servable[link.client].push(link.candidate(tag)); // lint:allow(panic_path) link.client < cfg.clients, servable sized cfg.clients
+    }
+    let mut cooling: EventQueue<usize> = EventQueue::new();
+    let mut remaining = links.len();
+
     while let Some(wake) = queue.pop() {
         let now = wake.at;
-        if now >= end || links.iter().all(|l| l.done) {
+        if now >= end || remaining == 0 {
             break;
         }
 
-        // Servable tags per client, in ascending tag order.
-        let mut per_client: Vec<Vec<Candidate>> = vec![Vec::new(); cfg.clients];
-        for (tag, link) in links.iter().enumerate() {
-            if link.done || (!ignore_cooldown && link.ready_at > now) {
-                continue;
-            }
-            per_client[link.client].push(Candidate { // lint:allow(panic_path) link.client < cfg.clients, per_client sized cfg.clients
-                tag,
-                airtime_used: link.airtime_used,
-                round_airtime: link.exchange,
-                deadline: link.deadline,
-            });
+        while cooling.peek_time().is_some_and(|t| t <= now) {
+            let Some(ev) = cooling.pop() else { break };
+            let tag = ev.payload;
+            let list = &mut servable[links[tag].client]; // lint:allow(panic_path) cooling holds tag ids < links.len(); link.client < cfg.clients
+            let pos = list.partition_point(|c| c.tag < tag);
+            list.insert(pos, links[tag].candidate(tag));
         }
         let mut contenders: Vec<usize> = (0..cfg.clients)
-            .filter(|&c| !per_client[c].is_empty())
+            .filter(|&c| !servable[c].is_empty())
             .collect();
         if contenders.is_empty() {
             // Nothing servable: idle forward to the earliest cooldown
             // expiry (cheap — no airtime is burned).
-            match links.iter().filter(|l| !l.done).map(|l| l.ready_at).min() {
+            match cooling.peek_time() {
                 Some(t) => {
                     queue.schedule(t.max(now + timing::SLOT), ());
                     continue;
@@ -926,21 +950,21 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
 
         // Every winner's scheduler picks its tag; picks transmit
         // simultaneously.
-        let picks: Vec<(usize, usize)> = winners
+        let picks: Vec<(usize, usize, usize)> = winners
             .iter()
             .map(|&c| {
-                let pos = clients[c].sched.pick(&per_client[c]);
-                (c, per_client[c][pos].tag) // lint:allow(panic_path) pick() returns an index into the slice it was given
+                let pos = clients[c].sched.pick(&servable[c]);
+                (c, pos, servable[c][pos].tag) // lint:allow(panic_path) pick() returns an index into the slice it was given
             })
             .collect();
         let busy = picks
             .iter()
-            .map(|&(_, t)| links[t].exchange)
+            .map(|&(_, _, t)| links[t].exchange)
             .fold(Duration::ZERO, Duration::max);
         let t_end = t_access + busy;
 
         if picks.len() == 1 {
-            let (c, tag) = picks[0];
+            let (c, _, tag) = picks[0];
             grants += 1;
             if rec.enabled() {
                 rec.record(&Event::NetGrant {
@@ -968,12 +992,12 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
                     airtime_us: busy.as_micros(),
                 });
             }
-            for &(c, tag) in &picks {
+            for &(c, _, tag) in &picks {
                 let own = links[tag].exchange;
                 let other_max = picks
                     .iter()
-                    .filter(|&&(oc, _)| oc != c)
-                    .map(|&(_, t)| links[t].exchange)
+                    .filter(|&&(oc, _, _)| oc != c)
+                    .map(|&(_, _, t)| links[t].exchange)
                     .fold(Duration::ZERO, Duration::max);
                 let frac =
                     other_max.min(own).as_nanos() as f64 / own.as_nanos().max(1) as f64;
@@ -985,6 +1009,22 @@ pub fn run_fleet(cfg: &FleetConfig, rec: &mut dyn Recorder) -> Result<FleetRepor
                 if completed && rec.enabled() {
                     record_session_done(rec, fleet_round, tag, &links[tag]);
                 }
+            }
+        }
+        // Each winner picked from its own list, so every position is
+        // still valid: drop finished tags, park cooling ones until their
+        // cooldown expires, refresh the rest in place.
+        for &(c, pos, tag) in &picks {
+            let link = &links[tag];
+            let list = &mut servable[c];
+            if link.done {
+                list.remove(pos);
+                remaining -= 1;
+            } else if !ignore_cooldown && link.ready_at > t_end {
+                list.remove(pos);
+                cooling.schedule(link.ready_at, tag);
+            } else {
+                list[pos].airtime_used = link.airtime_used;
             }
         }
         predictor.observe(picks.len() > 1, busy);

@@ -37,8 +37,8 @@
 //!   eight.
 //! * **Hierarchical scheduling.** Within a cell the intra-cell policy
 //!   is the existing [`SchedulerKind`] vocabulary (`rr`/`fair`/`edf`/
-//!   `serial`; `pred` falls back to `fair` — predictive deferral is a
-//!   single-medium optimisation that spatial reuse already subsumes).
+//!   `serial`; `pred` is rejected with [`NetError::MetroScheduler`] —
+//!   predictive deferral is a fleet-engine, single-medium policy).
 //!   Across cells that share a medium, an epoch-based airtime-budget
 //!   layer reallocates the domain's airtime to cells proportional to
 //!   their backlog every [`MetroConfig::epoch`], so a dense cell
@@ -104,7 +104,8 @@ pub struct MetroConfig {
     /// Total tags; tag `i` lives in cell `i % cells` at a
     /// deterministic pseudo-random position inside it.
     pub tags: usize,
-    /// Intra-cell scheduling policy (`pred` falls back to `fair`).
+    /// Intra-cell scheduling policy (`pred` is rejected by
+    /// [`run_metro`]).
     pub scheduler: SchedulerKind,
     /// Simulated-time budget for the run.
     pub horizon: Duration,
@@ -1077,6 +1078,9 @@ pub fn run_metro(
     if cfg.tags == 0 {
         return Err(NetError::NoTags);
     }
+    if cfg.scheduler == SchedulerKind::Pred {
+        return Err(NetError::MetroScheduler(cfg.scheduler));
+    }
     let topo = Topology::build(cfg);
     if rec.enabled() {
         for c in 0..cfg.cells {
@@ -1283,6 +1287,14 @@ mod tests {
         let mut cfg = small(1, 1, 1, SchedulerKind::Rr);
         cfg.tags = 0;
         assert_eq!(run_metro(&cfg, 1, &mut NullRecorder), Err(NetError::NoTags));
+    }
+
+    #[test]
+    fn pred_scheduler_is_rejected_not_run_as_fair() {
+        let cfg = small(1, 1, 4, SchedulerKind::Pred);
+        let err = run_metro(&cfg, 1, &mut NullRecorder).expect_err("metro has no pred policy");
+        assert_eq!(err, NetError::MetroScheduler(SchedulerKind::Pred));
+        assert!(err.to_string().contains("pred"), "{err}");
     }
 
     #[test]

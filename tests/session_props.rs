@@ -8,8 +8,8 @@ mod common;
 use common::{test_message, SyntheticChannel};
 use proptest::prelude::*;
 use witag::tagnet::{
-    decode_chunk, encode_chunk, run_session, SessionConfig, SessionFailure, SessionOutcome,
-    CHUNK_PAYLOAD_BITS, MIN_CHANNEL_BITS,
+    decode_chunk, encode_chunk, parse_base_report, run_session, SessionConfig, SessionFailure,
+    SessionOutcome, CHUNK_PAYLOAD_BITS, MIN_CHANNEL_BITS,
 };
 use witag::FecLayout;
 use witag_faults::FaultPlan;
@@ -169,5 +169,43 @@ proptest! {
             *b ^= 1;
         }
         prop_assert_ne!(decode_chunk(&encoded, channel_bits), Some((seq, payload)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `parse_base_report` takes whatever a decoded chunk carries: any
+    /// payload length and any byte values must come back as a verdict,
+    /// never a panic, and anything shorter than a base report is `None`.
+    #[test]
+    fn base_report_parser_survives_arbitrary_payloads(
+        seq in any::<u8>(),
+        payload in prop::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let parsed = parse_base_report(seq, &payload);
+        if payload.len() < CHUNK_PAYLOAD_BITS {
+            prop_assert_eq!(parsed, None);
+        }
+        if let Some(base) = parsed {
+            prop_assert_eq!(seq as usize, base % 16, "seq must echo the base");
+        }
+    }
+
+    /// `decode_chunk` on an arbitrary readout — any length, any bits,
+    /// any claimed capacity (including ones no layout can fit) — returns
+    /// `None` or a well-formed chunk, never a panic.
+    #[test]
+    fn chunk_decoder_survives_arbitrary_readouts(
+        bits in prop::collection::vec(0u8..2, 0..256),
+        channel_bits in 0usize..320,
+        wild_channel_bits in any::<usize>(),
+    ) {
+        for cb in [channel_bits, wild_channel_bits] {
+            if let Some((seq, payload)) = decode_chunk(&bits, cb) {
+                prop_assert!(seq < 16, "seq {} is wider than its field", seq);
+                prop_assert_eq!(payload.len(), CHUNK_PAYLOAD_BITS);
+            }
+        }
     }
 }
