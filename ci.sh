@@ -6,8 +6,8 @@ set -eux
 cargo build --release
 cargo test -q
 # `cargo test -q` covers only the root package. The scheduler, fleet and
-# metro unit tests live in witag-net, and the portable-kernel phy goldens
-# run nowhere else (the simd run below builds witag-phy with the feature).
+# metro unit tests live in witag-net, and the phy goldens run nowhere
+# else in release mode (the debug-mode run is below).
 cargo test -q -p witag-net
 cargo test -q --release -p witag-phy
 cargo clippy --workspace --all-targets -- -D warnings
@@ -20,7 +20,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 # builds the whole-workspace call graph, and fails (nonzero exit) on any
 # per-file finding (determinism / panic-freedom / no_alloc / hygiene) or
 # interprocedural finding (transitive no_alloc, panic reachability,
-# determinism taint, obs-schema and simd cfg parity). The committed
+# determinism taint, obs-schema consistency). The committed
 # witag-lint/2 JSON artifact must match what the tree produces — a stale
 # LINT_report.json fails the drift check below.
 cargo run -q --release -p witag-lint -- --threads 1 --json LINT_report.json
@@ -38,9 +38,9 @@ cargo run -q --release -p witag-lint -- --threads 4 --json /tmp/witag_lint_t4.js
 cmp LINT_report.json /tmp/witag_lint_t4.json
 
 # The linter's own fixture suites (resolver edge pins, virtual-workspace
-# pass acceptance) also run under the simd feature so the parity pass and
-# the kernels see the flag from both sides.
-cargo test -q -p witag-lint -p witag-phy --features simd
+# pass acceptance), plus the phy kernels and goldens in a debug build
+# (overflow checks and debug assertions on).
+cargo test -q -p witag-lint -p witag-phy
 
 # Perf gate smoke: run the baseline binary in quick mode (tiny iteration
 # counts, same code paths) and assert it emits parseable JSON — both the
@@ -48,7 +48,7 @@ cargo test -q -p witag-lint -p witag-phy --features simd
 # by humans against EXPERIMENTS.md § "PERF GATE", but the receive-chain
 # speedup is gated here: the quick run (a portable build, like the
 # committed configs.portable section — never compare a portable build
-# against the tuned simd_native headline) must stay within 30% of the
+# against a tuned *_native config) must stay within 30% of the
 # committed value, so a kernel regression cannot land silently. The 30%
 # slack absorbs quick-mode iteration noise, not real regressions.
 WITAG_PERF_QUICK=1 WITAG_PERF_OUT=/tmp/witag_perf_smoke.json \

@@ -22,12 +22,13 @@
 //!   of a meaningless ~1.0 ratio (shard results are bit-identical for
 //!   every thread count, so there is nothing to verify by timing).
 //! - The top-level `phy` numbers describe **this binary's build** only.
-//!   `build` records which kernel variant (`portable` vs the `simd`
-//!   feature's structure-of-arrays butterfly) and whether wide vector
-//!   units were compiled in (`target-cpu=native`). The same numbers are
-//!   also filed under `configs.<name>`, and rewriting `BENCH_phy.json`
-//!   preserves the `configs` entries of *other* build configurations,
-//!   so one committed artefact accumulates the portable/tuned matrix.
+//!   `build` records the kernel variant (always `portable`; earlier
+//!   artefacts also hold the deleted `simd` variant) and whether wide
+//!   vector units were compiled in (`target-cpu=native`). The same
+//!   numbers are also filed under `configs.<name>`, and rewriting
+//!   `BENCH_phy.json` preserves the `configs` entries of *other* build
+//!   configurations, so one committed artefact accumulates the
+//!   portable/tuned matrix.
 //! - `speedup_vs_pr2` judges the receive chain against the PR-2
 //!   allocation-free baseline (the previous committed gate), not just
 //!   the seed commit, so incremental kernel work stays visible.
@@ -82,10 +83,9 @@ const SEED_QUERY_ROUND_US: f64 = 50_140.5;
 const PR2_RECEIVE_SCRATCH_1664B_MCS5_US: f64 = 4_587.6;
 const PR2_VITERBI_STREAM_4096_BITS_US: f64 = 492.6;
 
-/// Which kernel variant this binary was compiled with. The `simd`
-/// feature swaps the chunked butterfly for the structure-of-arrays
-/// variant (bit-identical output; meant for wide vector targets).
-const KERNEL: &str = if cfg!(feature = "simd") { "simd" } else { "portable" };
+/// The kernel variant, kept in the schema so configs measured with the
+/// deleted `simd` variant stay distinguishable in `BENCH_phy.json`.
+const KERNEL: &str = "portable";
 
 /// Name of this build configuration for the `configs` matrix: kernel
 /// variant plus whether wide vector units were compiled in (a proxy for

@@ -28,9 +28,11 @@ pub fn hamming74_encode(data: &[u8; 4]) -> [u8; 7] {
 }
 
 /// Decode a Hamming(7,4) codeword, correcting up to one flipped bit.
-/// Returns the 4 data bits and whether a correction was applied.
+/// Returns the 4 data bits and whether a correction was applied. Only
+/// the low bit of each input byte counts, so a readout holding values
+/// other than 0/1 decodes (as its low bits) instead of panicking.
 pub fn hamming74_decode(cw: &[u8; 7]) -> ([u8; 4], bool) {
-    let mut w = *cw;
+    let mut w = cw.map(|b| b & 1);
     // Syndrome: which parity checks fail (1-indexed position).
     let s1 = w[0] ^ w[2] ^ w[4] ^ w[6];
     let s2 = w[1] ^ w[2] ^ w[5] ^ w[6];

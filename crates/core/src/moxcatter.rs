@@ -31,7 +31,7 @@ use witag_mac::{aggregate, deaggregate, Addr, BlockAck, MacHeader, Mpdu, Subfram
 use witag_obs::{Event, Recorder};
 use witag_phy::mimo::MimoEqualiser;
 use witag_phy::ppdu::PhyConfig;
-use witag_phy::{receive_mu, transmit_mu, Mcs};
+use witag_phy::{receive_mu_with_scratch, transmit_mu, Mcs, RxScratch};
 use witag_sim::geom::Floorplan;
 
 /// Parameters of one MOXcatter run (fixed across a sweep's points).
@@ -222,8 +222,11 @@ pub fn run_point(
 
     let rx = link.apply_ppdu(&tx, &schedule);
     let rx_idle = link_idle.apply_ppdu(&tx, &idle);
-    let decoded = receive_mu(&rx, link.noise_var());
-    let decoded_idle = receive_mu(&rx_idle, link_idle.noise_var());
+    // One scratch for both decodes: the idle decode reuses the tagged
+    // one's warm buffers instead of page-faulting in fresh ones.
+    let mut scratch = RxScratch::new();
+    let decoded = receive_mu_with_scratch(&rx, link.noise_var(), &mut scratch);
+    let decoded_idle = receive_mu_with_scratch(&rx_idle, link_idle.noise_var(), &mut scratch);
 
     if rec.enabled() {
         rec.record(&Event::MimoSound {

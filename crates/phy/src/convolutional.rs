@@ -210,7 +210,9 @@ const BF_S1: [f64; HALF] = {
 /// `64*step + s` says whether state `s` was reached from its high
 /// predecessor). Hold one per long-lived decoder (e.g. inside a
 /// `RxScratch`) so steady-state decoding allocates nothing beyond the
-/// survivor buffer's high-water mark.
+/// survivor buffer's high-water mark. The survivor buffer only grows: a
+/// decode of `n` steps writes and reads its first `64 * n` bytes and
+/// leaves any longer tail from an earlier decode untouched.
 #[derive(Debug, Clone)]
 pub struct ViterbiScratch {
     /// Path metrics entering the current step.
@@ -227,7 +229,7 @@ impl Default for ViterbiScratch {
     }
 }
 
-/// One trellis step of the butterfly add-compare-select, `LANES`
+/// One trellis step of the butterfly add-compare-select, sixteen
 /// butterflies at a time. Lane `j` handles the successor pair
 /// `(2j, 2j+1)`, whose predecessors are `j` (low) and `j + 32` (high):
 /// with `B = bm[OUTPUT_CODE[2j]]` the four candidates are
@@ -242,8 +244,12 @@ impl Default for ViterbiScratch {
 /// the whole lane loop autovectorises.
 // lint:no_alloc
 #[inline(always)]
-#[cfg(not(feature = "simd"))]
-fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt: &mut [f64; STATES], surv: &mut [u8]) {
+fn butterfly_step(l0: f64, l1: f64, cur: &[f64; STATES], nxt: &mut [f64; STATES], surv: &mut [u8]) {
+    // Chunk width of the ACS pass. Of 1, 2, 4, 8, 16 and 32 lanes, 16
+    // was the fastest with rustc 1.95 on x86-64 in the default build and
+    // tied for fastest under `target-cpu=native`; 8 is pathological
+    // there, roughly 2–4× slower than any other width (DESIGN §4h).
+    const LANES: usize = 16;
     let (m_lo, m_hi) = cur.split_at(HALF);
     // Pass 1: branch metrics for all butterflies (a pure mul/add sweep the
     // vectoriser handles without select pressure).
@@ -273,53 +279,6 @@ fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt
     }
 }
 
-/// Structure-of-arrays variant of [`butterfly_step`] selected by the
-/// `simd` feature: every pass is a unit-stride map over all `HALF`
-/// butterflies (branch metrics, even successors, odd successors), with
-/// one final interleave pass writing the stride-2 successor layout. The
-/// per-lane arithmetic is the identical expression tree, so the output
-/// is bit-identical to the default chunked variant; `LANES` is unused
-/// (the vectoriser picks its own width for full-array sweeps).
-// lint:no_alloc
-#[inline(always)]
-#[cfg(feature = "simd")]
-fn butterfly_step<const LANES: usize>(l0: f64, l1: f64, cur: &[f64; STATES], nxt: &mut [f64; STATES], surv: &mut [u8]) {
-    let _ = LANES;
-    let (m_lo, m_hi) = cur.split_at(HALF);
-    let mut b_arr = [0.0f64; HALF];
-    for (j, b) in b_arr.iter_mut().enumerate() {
-        *b = BF_S0[j] * l0 + BF_S1[j] * l1;
-    }
-    let mut even = [0.0f64; HALF];
-    let mut odd = [0.0f64; HALF];
-    let mut s_even = [0u8; HALF];
-    let mut s_odd = [0u8; HALF];
-    for j in 0..HALF {
-        let b = b_arr[j];
-        let lo0 = m_lo[j] + b;
-        let hi0 = m_hi[j] - b;
-        // Strict '>' keeps the low predecessor on ties, matching the
-        // ascending-state scan of the reference implementation.
-        let t0 = hi0 > lo0;
-        even[j] = if t0 { hi0 } else { lo0 };
-        s_even[j] = t0 as u8;
-    }
-    for j in 0..HALF {
-        let b = b_arr[j];
-        let lo1 = m_lo[j] - b;
-        let hi1 = m_hi[j] + b;
-        let t1 = hi1 > lo1;
-        odd[j] = if t1 { hi1 } else { lo1 };
-        s_odd[j] = t1 as u8;
-    }
-    for j in 0..HALF {
-        nxt[2 * j] = even[j];
-        nxt[2 * j + 1] = odd[j];
-        surv[2 * j] = s_even[j];
-        surv[2 * j + 1] = s_odd[j];
-    }
-}
-
 /// Flat add-compare-select over all trellis steps. `terminated` selects
 /// the traceback start: state 0 for a terminated trellis (falling back to
 /// the best state when 0 is unreachable), the best-metric state otherwise.
@@ -337,24 +296,24 @@ fn viterbi_kernel(
     scratch: &mut ViterbiScratch,
     out: &mut Vec<u8>,
 ) {
-    // Chunk width of the default butterfly kernel, tuned for narrow
-    // (SSE2-class) baseline targets. The `simd` feature swaps in the
-    // structure-of-arrays variant, which ignores the width and lets the
-    // vectoriser pick its own for full-array sweeps.
-    const LANES: usize = 4;
-
     scratch.metrics = [NEG_INF; STATES];
     scratch.metrics[0] = 0.0; // encoder starts in state 0
-    scratch.survivors.clear();
-    scratch.survivors.resize(n_steps * STATES, 0);
+    // Grow-only: the ACS below overwrites every byte of the first
+    // `n_steps * STATES`, so re-zeroing them (3.4 MB for a 64-subframe
+    // PPDU) would be wasted work, and bytes past them are never read.
+    let n_surv = n_steps * STATES;
+    if scratch.survivors.len() < n_surv {
+        scratch.survivors.resize(n_surv, 0);
+    }
 
     let ViterbiScratch { metrics, next, survivors } = scratch;
+    let survivors = &mut survivors[..n_surv];
     let mut cur: &mut [f64; STATES] = metrics;
     let mut nxt: &mut [f64; STATES] = next;
     for (step, surv) in survivors.chunks_exact_mut(STATES).enumerate() {
         let l0 = llrs[2 * step];
         let l1 = llrs[2 * step + 1];
-        butterfly_step::<LANES>(l0, l1, cur, nxt, surv);
+        butterfly_step(l0, l1, cur, nxt, surv);
         core::mem::swap(&mut cur, &mut nxt);
     }
 
@@ -373,7 +332,7 @@ fn viterbi_kernel(
     out.resize(n_steps, 0);
     for step in (0..n_steps).rev() {
         out[step] = (state & 1) as u8; // input bit is the successor's LSB
-        let from_high = survivors[(step << (CONSTRAINT - 1)) | state]; // lint:allow(panic_path) step < n_steps, state < 2^(K-1), survivors sized n_steps * 2^(K-1)
+        let from_high = survivors[(step << (CONSTRAINT - 1)) | state]; // lint:allow(panic_path) step < n_steps, state < 2^(K-1), survivors sliced to n_steps * 2^(K-1)
         state = (state >> 1) | ((from_high as usize) << (CONSTRAINT - 2));
     }
 }

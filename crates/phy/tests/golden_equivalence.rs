@@ -14,7 +14,8 @@
 
 use witag_phy::complex::Complex64;
 use witag_phy::convolutional::{
-    bits_to_llrs, encode_stream, puncture, depuncture, viterbi_decode, viterbi_decode_stream,
+    bits_to_llrs, encode, encode_stream, puncture, depuncture, viterbi_decode,
+    viterbi_decode_into, viterbi_decode_stream, viterbi_decode_stream_into, ViterbiScratch,
     CONSTRAINT, TAIL_BITS,
 };
 use witag_phy::interleaver::{InterleaverDims, InterleaverPerm};
@@ -221,6 +222,59 @@ fn viterbi_matches_reference_on_clean_coded_data() {
         let opt = viterbi_decode_stream(&llrs, n_bits);
         assert_eq!(opt, reference_viterbi_decode_stream(&llrs, n_bits));
         assert_eq!(opt, data, "clean decode must also be correct");
+    }
+}
+
+/// Soft input for the mother stream `coded` after R2/3 puncturing and
+/// depuncturing: blocks of `block` transmitted bits alternate between
+/// clean (strong, lightly noisy) and heavy noise, like an A-MPDU whose
+/// odd subframes the tag corrupted.
+fn blocky_r23_llrs(rng: &mut Rng, coded: &[u8], block: usize) -> Vec<f64> {
+    let sent: Vec<f64> = puncture(coded, CodeRate::R23)
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| {
+            let sign = if b == 0 { 1.0 } else { -1.0 };
+            if (i / block).is_multiple_of(2) {
+                4.0 * sign + 0.5 * rng.gaussian()
+            } else {
+                sign + 4.0 * rng.gaussian()
+            }
+        })
+        .collect();
+    depuncture(&sent, CodeRate::R23, coded.len())
+}
+
+#[test]
+fn viterbi_scratch_reuse_across_shrinking_streams_matches_reference() {
+    // One scratch decodes a whole 64-subframe PPDU's trellis (the fig5
+    // 3 m design: 53,456 steps), then shorter streams. Its survivor
+    // storage keeps the high-water size, so the stale tail past the
+    // current stream must never be read. Noise blocks of 1253
+    // transmitted bits are one subframe's share (53,456 × 3/2 / 64).
+    let mut rng = Rng::seed_from_u64(0x60_21);
+    let mut scratch = ViterbiScratch::default();
+    let mut out = Vec::new();
+    for n_steps in [53_456usize, 471, 2000] {
+        let data: Vec<u8> = (0..n_steps).map(|_| (rng.next_u64() & 1) as u8).collect();
+        let llrs = blocky_r23_llrs(&mut rng, &encode_stream(&data), 1253);
+        viterbi_decode_stream_into(&llrs, n_steps, &mut scratch, &mut out);
+        assert_eq!(
+            out,
+            reference_viterbi_decode_stream(&llrs, n_steps),
+            "stream, n_steps={n_steps}"
+        );
+    }
+    for n_steps in [53_456usize, 471, 2000] {
+        let info_bits = n_steps - TAIL_BITS;
+        let data: Vec<u8> = (0..info_bits).map(|_| (rng.next_u64() & 1) as u8).collect();
+        let llrs = blocky_r23_llrs(&mut rng, &encode(&data), 1253);
+        viterbi_decode_into(&llrs, info_bits, &mut scratch, &mut out);
+        assert_eq!(
+            out,
+            reference_viterbi_decode(&llrs, info_bits),
+            "terminated, n_steps={n_steps}"
+        );
     }
 }
 

@@ -192,12 +192,12 @@ proptest! {
         }
     }
 
-    /// `decode_chunk` on an arbitrary readout — any length, any bits,
-    /// any claimed capacity (including ones no layout can fit) — returns
-    /// `None` or a well-formed chunk, never a panic.
+    /// `decode_chunk` on an arbitrary readout — any length, any bytes
+    /// (not only 0/1), any claimed capacity (including ones no layout
+    /// can fit) — returns `None` or a well-formed chunk, never a panic.
     #[test]
     fn chunk_decoder_survives_arbitrary_readouts(
-        bits in prop::collection::vec(0u8..2, 0..256),
+        bits in prop::collection::vec(any::<u8>(), 0..256),
         channel_bits in 0usize..320,
         wild_channel_bits in any::<usize>(),
     ) {
