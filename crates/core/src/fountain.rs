@@ -27,7 +27,7 @@
 //!   field carrying `esi mod 16` so the client can track the tag's
 //!   symbol counter through losses without any per-chunk feedback.
 //!
-//! The session driver ([`crate::tagnet::run_fountain_session`]) and the
+//! The session driver ([`crate::tagnet::run_fountain_session_obs`]) and the
 //! `witag-net` fleet layer both drive these state machines; the framing
 //! (`encode_chunk`/`decode_chunk`, CRC-8, Hamming FEC) is shared with
 //! the ARQ transport unchanged.

@@ -23,7 +23,7 @@
 //!   fountain codec (robust-soliton degrees, seeded symbol selection,
 //!   peeling decoder with Gaussian inactivation) plus the SYMBOL /
 //!   INFO / SYNC protocol state machines that
-//!   [`tagnet::run_fountain_session`] and the `witag-net` fleet layer
+//!   [`tagnet::run_fountain_session_obs`] and the `witag-net` fleet layer
 //!   drive.
 //!
 //! Deterministic fault injection (query loss, block-ACK loss, burst
@@ -69,7 +69,7 @@ pub use fountain::{
 pub use query::{BuiltQuery, QueryDesign};
 pub use reader::{read_tag_bits, BitErrors, TagReadout};
 pub use tagnet::{
-    fountain_session_over_experiment, run_fountain_session, run_session, session_over_experiment,
-    FountainConfig, FountainReport, FountainStats, RoundOutcome, SessionConfig, SessionFailure,
-    SessionOutcome, SessionReport, SessionStats, TagnetError,
+    fountain_session_over_experiment_obs, run_fountain_session_obs, run_session,
+    session_over_experiment, FountainConfig, FountainReport, FountainStats, RoundOutcome,
+    SessionConfig, SessionFailure, SessionOutcome, SessionReport, SessionStats, TagnetError,
 };

@@ -1373,7 +1373,7 @@ impl FountainStats {
     }
 }
 
-/// Full result of [`run_fountain_session`].
+/// Full result of [`run_fountain_session_obs`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FountainReport {
     /// How the session ended. `CrcMismatch` means the decoder solved a
@@ -1401,25 +1401,14 @@ impl FountainReport {
 /// the "enough" feedback, so no per-chunk ARQ state exists on either
 /// side. See [`crate::fountain`] for the codec and the protocol state
 /// machines; semantics of `channel` match [`run_session`].
-pub fn run_fountain_session<F>(
-    message: &[u8],
-    channel_bits: usize,
-    cfg: &FountainConfig,
-    channel: F,
-) -> Result<FountainReport, TagnetError>
-where
-    F: FnMut(&FountainQuery, &[u8]) -> RoundOutcome,
-{
-    run_fountain_session_obs(message, channel_bits, cfg, &mut NullRecorder, channel)
-}
-
-/// [`run_fountain_session`] with observability: emits `session_query`
-/// (every round, with the fountain vocabulary `"symbol"` / `"info"` /
-/// `"sync"` / `"idle"`), `tagnet.symbol` (every SYMBOL round),
-/// `tagnet.decode_progress` (every solve), `session_backoff` (each
-/// quiet period) and exactly one `session_done`. Emission is gated on
-/// [`Recorder::enabled`], so a detached recorder makes this a strict
-/// synonym of `run_fountain_session`.
+///
+/// Observability: emits `session_query` (every round, with the fountain
+/// vocabulary `"symbol"` / `"info"` / `"sync"` / `"idle"`),
+/// `tagnet.symbol` (every SYMBOL round), `tagnet.decode_progress`
+/// (every solve), `session_backoff` (each quiet period) and exactly one
+/// `session_done`. Emission is gated on [`Recorder::enabled`]; callers
+/// with nothing to record pass [`NullRecorder`], and the result does
+/// not depend on the recorder.
 pub fn run_fountain_session_obs<F>(
     message: &[u8],
     channel_bits: usize,
@@ -1613,22 +1602,12 @@ where
 
 /// Run a fountain session over a live
 /// [`Experiment`](crate::experiment::Experiment) — the fountain
-/// analogue of [`session_over_experiment`], with identical channel
+/// analogue of [`session_over_experiment_obs`], with identical channel
 /// semantics (trigger match = tag heard, lost block ACK = no readout,
-/// idle rounds burn real airtime).
-pub fn fountain_session_over_experiment(
-    exp: &mut crate::experiment::Experiment,
-    message: &[u8],
-    cfg: &FountainConfig,
-) -> Result<FountainReport, TagnetError> {
-    fountain_session_over_experiment_obs(exp, message, cfg, &mut NullRecorder)
-}
-
-/// [`fountain_session_over_experiment`] with observability: the
-/// driver's events and the experiment rounds' events interleave into
-/// one recorder in execution order, sharing the session's round
-/// numbering (same [`SharedRecorder`] routing as
-/// [`session_over_experiment_obs`]).
+/// idle rounds burn real airtime). The driver's events and the
+/// experiment rounds' events interleave into one recorder in execution
+/// order, sharing the session's round numbering (same
+/// [`SharedRecorder`] routing as [`session_over_experiment_obs`]).
 pub fn fountain_session_over_experiment_obs(
     exp: &mut crate::experiment::Experiment,
     message: &[u8],

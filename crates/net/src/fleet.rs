@@ -77,7 +77,7 @@ const PRED_BUSY_THRESHOLD: f64 = 0.35;
 pub enum Transport {
     /// Selective-repeat ARQ sessions (`tagnet::run_session` semantics).
     Arq,
-    /// Rateless fountain sessions (`tagnet::run_fountain_session`
+    /// Rateless fountain sessions (`tagnet::run_fountain_session_obs`
     /// semantics): coded symbols stream until the client's decoder
     /// completes, no per-chunk retransmission state.
     Fountain,

@@ -71,6 +71,19 @@ pub struct TraceSummary {
     net_latency_us_max: u64,
 }
 
+/// Add a line's `u64` field (absent ⇒ 0) to a running total. Traces are
+/// untrusted input: a value near `u64::MAX` must saturate the total, not
+/// panic (debug) or wrap (release).
+fn add_field(total: &mut u64, line: &str, key: &str) {
+    *total = total.saturating_add(field_u64(line, key).unwrap_or(0));
+}
+
+/// Count a line's `true` boolean field (absent ⇒ `false`) into a running
+/// total, saturating like [`add_field`].
+fn add_flag(total: &mut u64, line: &str, key: &str) {
+    *total = total.saturating_add(u64::from(field_bool(line, key).unwrap_or(false)));
+}
+
 impl TraceSummary {
     /// Event lines ingested (header, unknown and malformed excluded).
     pub fn events(&self) -> u64 {
@@ -136,11 +149,11 @@ impl TraceSummary {
             }
             "round" => {
                 self.rounds += 1;
-                self.triggered += u64::from(field_bool(line, "triggered").unwrap_or(false));
-                self.ba_lost += u64::from(field_bool(line, "ba_lost").unwrap_or(false));
-                self.bits += field_u64(line, "bits").unwrap_or(0);
-                self.bit_errors += field_u64(line, "bit_errors").unwrap_or(0);
-                self.airtime_us += field_u64(line, "airtime_us").unwrap_or(0);
+                add_flag(&mut self.triggered, line, "triggered");
+                add_flag(&mut self.ba_lost, line, "ba_lost");
+                add_field(&mut self.bits, line, "bits");
+                add_field(&mut self.bit_errors, line, "bit_errors");
+                add_field(&mut self.airtime_us, line, "airtime_us");
             }
             "fault" => {
                 let mask = field_u64(line, "mask").unwrap_or(0);
@@ -152,32 +165,31 @@ impl TraceSummary {
             }
             "session_done" => {
                 self.sessions += 1;
-                self.sessions_delivered +=
-                    u64::from(field_bool(line, "delivered").unwrap_or(false));
-                self.session_queries += field_u64(line, "queries").unwrap_or(0);
-                self.session_idle += field_u64(line, "idle_rounds").unwrap_or(0);
-                self.session_retx += field_u64(line, "retransmissions").unwrap_or(0);
-                self.session_resyncs += field_u64(line, "resyncs").unwrap_or(0);
-                self.session_payload_bits += field_u64(line, "payload_bits").unwrap_or(0);
+                add_flag(&mut self.sessions_delivered, line, "delivered");
+                add_field(&mut self.session_queries, line, "queries");
+                add_field(&mut self.session_idle, line, "idle_rounds");
+                add_field(&mut self.session_retx, line, "retransmissions");
+                add_field(&mut self.session_resyncs, line, "resyncs");
+                add_field(&mut self.session_payload_bits, line, "payload_bits");
             }
             "sweep_point" => self.sweep_points += 1,
             "shard" => self.shards += 1,
             "net.enqueue" => self.net_enqueued += 1,
             "net.grant" => {
                 self.net_grants += 1;
-                self.net_grant_airtime_us += field_u64(line, "airtime_us").unwrap_or(0);
+                add_field(&mut self.net_grant_airtime_us, line, "airtime_us");
             }
             "net.collision" => {
                 self.net_collisions += 1;
-                self.net_collision_airtime_us += field_u64(line, "airtime_us").unwrap_or(0);
+                add_field(&mut self.net_collision_airtime_us, line, "airtime_us");
             }
             "net.session_done" => {
                 self.net_sessions += 1;
-                self.net_delivered += u64::from(field_bool(line, "delivered").unwrap_or(false));
-                self.net_link_rounds += field_u64(line, "rounds").unwrap_or(0);
-                self.net_payload_bits += field_u64(line, "payload_bits").unwrap_or(0);
+                add_flag(&mut self.net_delivered, line, "delivered");
+                add_field(&mut self.net_link_rounds, line, "rounds");
+                add_field(&mut self.net_payload_bits, line, "payload_bits");
                 let lat = field_u64(line, "latency_us").unwrap_or(0);
-                self.net_latency_us_sum += lat;
+                self.net_latency_us_sum = self.net_latency_us_sum.saturating_add(lat);
                 self.net_latency_us_max = self.net_latency_us_max.max(lat);
             }
             _ => {}
@@ -264,7 +276,7 @@ impl TraceSummary {
                 self.session_payload_bits
             );
         }
-        let accesses = self.net_grants + self.net_collisions;
+        let accesses = self.net_grants.saturating_add(self.net_collisions);
         if self.net_enqueued > 0 || accesses > 0 {
             let rate = if accesses > 0 {
                 self.net_collisions as f64 / accesses as f64
@@ -278,7 +290,7 @@ impl TraceSummary {
                 self.net_grants,
                 self.net_collisions,
                 rate,
-                (self.net_grant_airtime_us + self.net_collision_airtime_us) as f64 / 1000.0
+                self.net_grant_airtime_us.saturating_add(self.net_collision_airtime_us) as f64 / 1000.0
             );
         }
         if self.net_sessions > 0 {
@@ -392,6 +404,29 @@ mod tests {
         assert!(r.contains("busy 3.000 ms"), "{r}");
         assert!(r.contains("fleet sessions: 2 (1 delivered)"), "{r}");
         assert!(r.contains("mean latency 10.000 ms (max 11.000 ms)"), "{r}");
+    }
+
+    #[test]
+    fn hostile_u64_fields_saturate_instead_of_overflowing() {
+        // Two rounds at u64::MAX airtime overflowed the running total
+        // (a panic in debug builds, a silent wrap in release).
+        let mut s = TraceSummary::default();
+        for _ in 0..2 {
+            s.ingest_line(
+                "{\"kind\":\"round\",\"round\":0,\"triggered\":true,\"ba_lost\":false,\
+                 \"bits\":62,\"bit_errors\":1,\"airtime_us\":18446744073709551615}",
+            );
+        }
+        assert_eq!(s.airtime_us, u64::MAX);
+        assert_eq!(s.bits, 124);
+        // The fleet section adds grant and collision airtime when it
+        // renders; that sum saturates too.
+        s.ingest_line("{\"kind\":\"net.grant\",\"round\":0,\"client\":0,\"tag\":0,\"airtime_us\":18446744073709551615}");
+        s.ingest_line("{\"kind\":\"net.collision\",\"round\":0,\"clients\":2,\"airtime_us\":18446744073709551615}");
+        assert_eq!(s.net_grant_airtime_us, u64::MAX);
+        let r = s.render();
+        assert!(r.contains("rounds: 2"), "{r}");
+        assert!(r.contains("1 grant(s), 1 collision(s)"), "{r}");
     }
 
     #[test]

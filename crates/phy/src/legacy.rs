@@ -188,7 +188,7 @@ pub fn legacy_transmit(rate: LegacyRate, psdu: &[u8]) -> LegacyPpdu {
 ///
 /// This is the allocating convenience wrapper (fresh scratch, fresh
 /// output); the allocation-free steady-state contract lives on
-/// [`legacy_receive_many_into`] and the shared decode core.
+/// [`legacy_receive_with_scratch`] and the decode core behind it.
 pub fn legacy_receive(rx: &LegacyPpdu, noise_var: f64) -> Vec<u8> {
     legacy_receive_with_scratch(rx, noise_var, &mut RxScratch::new())
 }
@@ -212,68 +212,9 @@ pub fn legacy_receive_with_scratch(
     out
 }
 
-/// Decode a burst of legacy PPDUs (e.g. the block-ACK responses of a
-/// scheduling round) reusing one scratch, with the tone plan and
-/// interleaver-permutation setup hoisted out of the per-PPDU loop. Each
-/// element is bit-identical to a standalone
-/// [`legacy_receive_with_scratch`] call.
-pub fn legacy_receive_many_with_scratch(
-    ppdus: &[LegacyPpdu],
-    noise_var: f64,
-    scratch: &mut RxScratch,
-) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    legacy_receive_many_into(ppdus, noise_var, scratch, &mut out);
-    out
-}
-
-/// [`legacy_receive_many_with_scratch`] into a caller-provided output
-/// vector whose existing byte buffers are reused (allocation-free once
-/// warm).
-// lint:no_alloc
-pub fn legacy_receive_many_into(
-    ppdus: &[LegacyPpdu],
-    noise_var: f64,
-    scratch: &mut RxScratch,
-    out: &mut Vec<Vec<u8>>,
-) {
-    out.truncate(ppdus.len());
-    out.resize_with(ppdus.len(), Vec::new); // lint:allow(no_alloc)
-    let layout = LegacyLayout::cached();
-    let (perms, _pilots, mut bufs) = scratch.split();
-    for rx in ppdus {
-        RxScratch::perm(perms, InterleaverDims::legacy(rx.rate.modulation().bits_per_subcarrier()));
-    }
-    for (rx, dst) in ppdus.iter().zip(out.iter_mut()) {
-        legacy_decode_core(rx, noise_var, layout, perms, &mut bufs, dst);
-    }
-}
-
-/// [`legacy_receive_many_with_scratch`] where every PPDU carries its own
-/// noise variance: the lockstep round driver decodes the block-ACK leg of
-/// many parallel sessions in one pass over one scratch. Each element is
-/// bit-identical to a standalone [`legacy_receive_with_scratch`] call
-/// with that pair.
-pub fn legacy_receive_many_mixed(
-    ppdus: &[(&LegacyPpdu, f64)],
-    scratch: &mut RxScratch,
-) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    out.resize_with(ppdus.len(), Vec::new);
-    let layout = LegacyLayout::cached();
-    let (perms, _pilots, mut bufs) = scratch.split();
-    for (rx, _) in ppdus {
-        RxScratch::perm(perms, InterleaverDims::legacy(rx.rate.modulation().bits_per_subcarrier()));
-    }
-    for (&(rx, noise_var), dst) in ppdus.iter().zip(out.iter_mut()) {
-        legacy_decode_core(rx, noise_var, layout, perms, &mut bufs, dst);
-    }
-    out
-}
-
-/// Shared implementation behind the singular and batched legacy receive
-/// paths: the caller provides the tone plan and a pre-warmed permutation
-/// cache.
+/// The allocation-free implementation behind
+/// [`legacy_receive_with_scratch`]: the caller provides the tone plan and
+/// a pre-warmed permutation cache.
 // lint:no_alloc
 fn legacy_decode_core(
     rx: &LegacyPpdu,

@@ -213,7 +213,7 @@ pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
 }
 
 /// [`bits_to_bytes`] into a caller-provided buffer (cleared first), so
-/// the batched receive path can reuse output allocations across a burst.
+/// the receive decode cores can write into a reused output allocation.
 ///
 /// # Panics
 /// Panics if `bits.len()` is not a multiple of 8.

@@ -214,7 +214,7 @@ impl DecodedPsdu {
 ///
 /// This is the allocating convenience wrapper (fresh scratch, fresh
 /// output); the allocation-free steady-state contract lives on
-/// [`receive_many_into`] and the shared decode core.
+/// [`receive_with_scratch`] and the decode core behind it.
 pub fn receive(rx: &Ppdu, noise_var: f64) -> DecodedPsdu {
     receive_with_scratch(rx, noise_var, &mut RxScratch::new())
 }
@@ -235,72 +235,9 @@ pub fn receive_with_scratch(rx: &Ppdu, noise_var: f64, scratch: &mut RxScratch) 
     out
 }
 
-/// Decode a burst of PPDUs (e.g. the per-subframe transmissions of one
-/// A-MPDU exchange) reusing one scratch, with the interleaver-permutation
-/// and pilot-pattern setup hoisted out of the per-subframe loop. Each
-/// element of the result is bit-identical to what a standalone
-/// [`receive_with_scratch`] call on that PPDU would return.
-pub fn receive_many(ppdus: &[Ppdu], noise_var: f64, scratch: &mut RxScratch) -> Vec<DecodedPsdu> {
-    let mut out = Vec::new();
-    receive_many_into(ppdus, noise_var, scratch, &mut out);
-    out
-}
-
-/// [`receive_many`] into a caller-provided output vector whose existing
-/// `DecodedPsdu` allocations are reused: a steady-state burst decode
-/// performs no allocation at all.
-// lint:no_alloc
-pub fn receive_many_into(
-    ppdus: &[Ppdu],
-    noise_var: f64,
-    scratch: &mut RxScratch,
-    out: &mut Vec<DecodedPsdu>,
-) {
-    out.truncate(ppdus.len());
-    out.resize_with(ppdus.len(), || DecodedPsdu {
-        bytes: Vec::new(),          // lint:allow(no_alloc)
-        symbol_quality: Vec::new(), // lint:allow(no_alloc)
-    });
-    let (perms, pilots, mut bufs) = scratch.split();
-    // Warm the permutation / pilot caches for every distinct configuration
-    // in the burst first, so the decode loop below only takes immutable
-    // lookups (and the hot per-subframe path never touches cache growth).
-    for rx in ppdus {
-        let n_bpscs = rx.config.mcs.modulation.bits_per_subcarrier();
-        RxScratch::perm(perms, InterleaverDims::ht(rx.config.bandwidth, n_bpscs));
-        RxScratch::pilot_pattern(pilots, rx.config.layout().pilot_positions().len());
-    }
-    for (rx, dst) in ppdus.iter().zip(out.iter_mut()) {
-        decode_core(rx, noise_var, perms, pilots, &mut bufs, dst);
-    }
-}
-
-/// [`receive_many`] where every PPDU carries its own noise variance: the
-/// lockstep round driver decodes one subframe from each of many parallel
-/// sessions (whose links may differ) in a single pass over one scratch.
-/// Each element is bit-identical to a standalone
-/// [`receive_with_scratch`] call with that pair.
-pub fn receive_many_mixed(ppdus: &[(&Ppdu, f64)], scratch: &mut RxScratch) -> Vec<DecodedPsdu> {
-    let mut out = Vec::new();
-    out.resize_with(ppdus.len(), || DecodedPsdu {
-        bytes: Vec::new(),
-        symbol_quality: Vec::new(),
-    });
-    let (perms, pilots, mut bufs) = scratch.split();
-    for (rx, _) in ppdus {
-        let n_bpscs = rx.config.mcs.modulation.bits_per_subcarrier();
-        RxScratch::perm(perms, InterleaverDims::ht(rx.config.bandwidth, n_bpscs));
-        RxScratch::pilot_pattern(pilots, rx.config.layout().pilot_positions().len());
-    }
-    for (&(rx, noise_var), dst) in ppdus.iter().zip(out.iter_mut()) {
-        decode_core(rx, noise_var, perms, pilots, &mut bufs, dst);
-    }
-    out
-}
-
 /// The working buffers of [`RxScratch`] minus the perm/pilot caches —
-/// split off so a burst loop can hold the caches immutably while the
-/// per-PPDU buffers stay mutable.
+/// split off so the decode core can read the caches immutably while it
+/// writes the per-PPDU buffers.
 pub(crate) struct RxBufs<'a> {
     pub(crate) llrs_tx: &'a mut Vec<f64>,
     pub(crate) per_stream: &'a mut Vec<Vec<f64>>,
@@ -357,9 +294,8 @@ impl RxScratch {
     }
 }
 
-/// Decode one PPDU into `dst` using pre-warmed perm/pilot caches. This is
-/// the single shared implementation behind [`receive_with_scratch`] and
-/// [`receive_many_into`].
+/// Decode one PPDU into `dst` using pre-warmed perm/pilot caches: the
+/// allocation-free implementation behind [`receive_with_scratch`].
 // lint:no_alloc
 pub(crate) fn decode_core(
     rx: &Ppdu,

@@ -426,97 +426,75 @@ fn perturb(ppdu: &witag_phy::ppdu::Ppdu, seed: u64, noise_std: f64, flip: bool) 
 }
 
 #[test]
-fn receive_many_matches_per_ppdu_receive_loop() {
-    // The batched A-MPDU decode — shared scratch, caches warmed once,
-    // permutation/pilot setup hoisted out of the subframe loop — must be
-    // bit-identical to decoding each subframe with its own call, for
-    // mixed MCS bursts including corrupted subframes.
-    use witag_phy::receiver::{receive_many, receive_many_into, receive_many_mixed};
+fn shared_scratch_sequence_matches_fresh_scratch() {
+    // An experiment threads one `RxScratch` through every decode it runs:
+    // the HT query A-MPDU, then the legacy block ACK on the reverse link,
+    // round after round, with per-link noise floors. Decoding such an
+    // interleaved sequence — mixed MCS, corrupted subframes, distinct
+    // noise variances, legacy frames at several rates — through one
+    // scratch must give exactly what a fresh scratch gives for each item.
+    use witag_phy::legacy::{legacy_receive_with_scratch, legacy_transmit, LegacyPpdu, LegacyRate};
+    use witag_phy::ppdu::Ppdu;
+    enum Frame {
+        Ht(Ppdu, f64),
+        Legacy(LegacyPpdu, f64),
+    }
     let psdu = vec![0x5Au8; 208];
-    let noise_var: f64 = 2e-3;
-    let mut burst = Vec::new();
-    for (i, idx) in [0usize, 5, 7, 12, 15, 5, 5].iter().enumerate() {
-        let clean = transmit(&PhyConfig::new(Mcs::ht(*idx)), &psdu);
-        // Corrupt every third subframe so the burst carries FCS failures.
-        burst.push(perturb(&clean, 900 + i as u64, noise_var.sqrt(), i % 3 == 0));
-    }
-
-    let mut serial = Vec::new();
-    for rx in &burst {
-        serial.push(receive_with_scratch(rx, noise_var, &mut RxScratch::new()));
-    }
-
-    let batched = receive_many(&burst, noise_var, &mut RxScratch::new());
-    assert_eq!(batched.len(), serial.len());
-    for (i, (a, b)) in serial.iter().zip(batched.iter()).enumerate() {
-        assert_eq!(a.bytes, b.bytes, "subframe {i}: bytes must be bit-identical");
-        assert_eq!(a.symbol_quality, b.symbol_quality, "subframe {i}: quality");
-    }
-
-    // The _into variant reuses output allocations across bursts without
-    // changing a bit; decode the burst twice through one output vector.
-    let mut scratch = RxScratch::new();
-    let mut out = Vec::new();
-    receive_many_into(&burst, noise_var, &mut scratch, &mut out);
-    receive_many_into(&burst, noise_var, &mut scratch, &mut out);
-    for (i, (a, b)) in serial.iter().zip(out.iter()).enumerate() {
-        assert_eq!(a.bytes, b.bytes, "reused-output subframe {i}");
-        assert_eq!(a.symbol_quality, b.symbol_quality);
-    }
-
-    // The mixed variant (per-item noise) with *distinct* noise floors
-    // must match per-item standalone calls.
-    let noises: Vec<f64> = (0..burst.len()).map(|i| 1e-4 * (i + 1) as f64).collect();
-    let pairs: Vec<(&witag_phy::ppdu::Ppdu, f64)> =
-        burst.iter().zip(noises.iter().copied()).collect();
-    let mixed = receive_many_mixed(&pairs, &mut RxScratch::new());
-    for (i, ((rx, nv), m)) in pairs.iter().zip(mixed.iter()).enumerate() {
-        let solo = receive_with_scratch(rx, *nv, &mut RxScratch::new());
-        assert_eq!(solo.bytes, m.bytes, "mixed subframe {i}");
-        assert_eq!(solo.symbol_quality, m.symbol_quality);
-    }
-}
-
-#[test]
-fn legacy_receive_many_matches_per_ppdu_receive_loop() {
-    use witag_phy::legacy::{
-        legacy_receive_many_mixed, legacy_receive_many_with_scratch, legacy_receive_with_scratch,
-        legacy_transmit, LegacyRate,
-    };
-    let noise_var: f64 = 1e-3;
-    let rates = [LegacyRate::M6, LegacyRate::M24, LegacyRate::M54, LegacyRate::M24];
-    let burst: Vec<_> = rates
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| {
-            let psdu: Vec<u8> = (0..32).map(|b| (b * 7 + i) as u8).collect();
-            let clean = legacy_transmit(r, &psdu);
-            let mut noisy = clean.clone();
+    let ht_mcs = [0usize, 5, 7, 12, 15, 5, 5];
+    let legacy_rates = [
+        LegacyRate::M24,
+        LegacyRate::M6,
+        LegacyRate::M54,
+        LegacyRate::M24,
+    ];
+    let mut frames = Vec::new();
+    for (i, &idx) in ht_mcs.iter().enumerate() {
+        let noise_var = 1e-4 * (i + 1) as f64;
+        let clean = transmit(&PhyConfig::new(Mcs::ht(idx)), &psdu);
+        // Corrupt every third A-MPDU so the sequence carries FCS failures.
+        let rx = perturb(&clean, 900 + i as u64, noise_var.sqrt(), i % 3 == 0);
+        frames.push(Frame::Ht(rx, noise_var));
+        if let Some(&rate) = legacy_rates.get(i) {
+            // A block-ACK-sized legacy frame on the reverse link.
+            let ba: Vec<u8> = (0..32).map(|b| (b * 7 + i) as u8).collect();
+            let noise_var = 5e-4 * (i + 1) as f64;
+            let mut rx = legacy_transmit(rate, &ba);
             let mut rng = Rng::seed_from_u64(77 + i as u64);
-            for sym in noisy.symbols.iter_mut() {
+            for sym in rx.symbols.iter_mut() {
                 for pt in sym.streams[0].iter_mut() {
                     let re = rng.range_f64(-1.0, 1.0) * noise_var.sqrt();
                     let im = rng.range_f64(-1.0, 1.0) * noise_var.sqrt();
                     *pt += witag_phy::complex::c64(re, im);
                 }
             }
-            noisy
-        })
-        .collect();
+            frames.push(Frame::Legacy(rx, noise_var));
+        }
+    }
 
-    let serial: Vec<Vec<u8>> = burst
-        .iter()
-        .map(|rx| legacy_receive_with_scratch(rx, noise_var, &mut RxScratch::new()))
-        .collect();
-    let batched = legacy_receive_many_with_scratch(&burst, noise_var, &mut RxScratch::new());
-    assert_eq!(serial, batched, "batched legacy decode must be bit-identical");
-
-    let noises: Vec<f64> = (0..burst.len()).map(|i| 5e-4 * (i + 1) as f64).collect();
-    let pairs: Vec<_> = burst.iter().zip(noises.iter().copied()).collect();
-    let mixed = legacy_receive_many_mixed(&pairs, &mut RxScratch::new());
-    for (i, ((rx, nv), m)) in pairs.iter().zip(mixed.iter()).enumerate() {
-        let solo = legacy_receive_with_scratch(rx, *nv, &mut RxScratch::new());
-        assert_eq!(&solo, m, "mixed legacy subframe {i}");
+    let mut shared = RxScratch::new();
+    for (i, frame) in frames.iter().enumerate() {
+        match frame {
+            Frame::Ht(rx, nv) => {
+                let fresh = receive_with_scratch(rx, *nv, &mut RxScratch::new());
+                let reused = receive_with_scratch(rx, *nv, &mut shared);
+                assert_eq!(
+                    fresh.bytes, reused.bytes,
+                    "frame {i}: HT bytes must be bit-identical"
+                );
+                assert_eq!(
+                    fresh.symbol_quality, reused.symbol_quality,
+                    "frame {i}: HT quality"
+                );
+            }
+            Frame::Legacy(rx, nv) => {
+                let fresh = legacy_receive_with_scratch(rx, *nv, &mut RxScratch::new());
+                let reused = legacy_receive_with_scratch(rx, *nv, &mut shared);
+                assert_eq!(
+                    fresh, reused,
+                    "frame {i}: legacy bytes must be bit-identical"
+                );
+            }
+        }
     }
 }
 

@@ -159,20 +159,30 @@ proptest! {
     }
 
     #[test]
-    fn receive_many_is_bit_identical_to_per_ppdu_loop(
+    fn shared_scratch_sequence_is_bit_identical_to_fresh_scratch(
         seed in any::<u64>(),
         mcs_list in proptest::collection::vec(0usize..16, 1..5),
+        rate_list in proptest::collection::vec(0usize..8, 0..5),
         corrupt_mask in any::<u8>(),
     ) {
-        // The batched burst decode must return exactly what a loop of
-        // standalone receives returns — any MCS mix, clean or corrupted
-        // subframes (a mid-frame phase flip is the tag's own corruption
-        // mechanism and reliably kills the FCS).
-        use witag_phy::receiver::{receive_many, receive_with_scratch, RxScratch};
+        // One scratch threaded through an interleaved sequence of HT
+        // A-MPDUs and legacy block-ACK frames (as an experiment's rounds
+        // decode them), each with its own noise floor, must return
+        // exactly what a fresh scratch returns for every frame — any MCS
+        // mix, clean or corrupted subframes (a mid-frame phase flip is the
+        // tag's own corruption mechanism and reliably kills the FCS).
+        use witag_phy::airtime::LegacyRate;
+        use witag_phy::legacy::{legacy_receive_with_scratch, legacy_transmit};
+        use witag_phy::receiver::{receive_with_scratch, RxScratch};
+        const RATES: [LegacyRate; 8] = [
+            LegacyRate::M6, LegacyRate::M9, LegacyRate::M12, LegacyRate::M18,
+            LegacyRate::M24, LegacyRate::M36, LegacyRate::M48, LegacyRate::M54,
+        ];
         let mut rng = witag_sim::Rng::seed_from_u64(seed);
-        let noise_var: f64 = 1e-3;
-        let noise_std = noise_var.sqrt();
-        let burst: Vec<_> = mcs_list.iter().enumerate().map(|(i, &idx)| {
+        let mut shared = RxScratch::new();
+        for (i, &idx) in mcs_list.iter().enumerate() {
+            let noise_var = rng.range_f64(1e-4, 2e-3);
+            let noise_std = noise_var.sqrt();
             let mut psdu = vec![0u8; 64];
             rng.fill_bytes(&mut psdu);
             let mut ppdu = transmit(&PhyConfig::new(Mcs::ht(idx)), &psdu);
@@ -192,13 +202,28 @@ proptest! {
                     }
                 }
             }
-            ppdu
-        }).collect();
-        let batched = receive_many(&burst, noise_var, &mut RxScratch::new());
-        for (i, (rx, b)) in burst.iter().zip(batched.iter()).enumerate() {
-            let solo = receive_with_scratch(rx, noise_var, &mut RxScratch::new());
-            prop_assert_eq!(&solo.bytes, &b.bytes, "subframe {} bytes diverged", i);
-            prop_assert_eq!(&solo.symbol_quality, &b.symbol_quality, "subframe {} quality diverged", i);
+            let fresh = receive_with_scratch(&ppdu, noise_var, &mut RxScratch::new());
+            let reused = receive_with_scratch(&ppdu, noise_var, &mut shared);
+            prop_assert_eq!(&fresh.bytes, &reused.bytes, "HT frame {} bytes diverged", i);
+            prop_assert_eq!(&fresh.symbol_quality, &reused.symbol_quality, "HT frame {} quality diverged", i);
+
+            if let Some(&r) = rate_list.get(i) {
+                let noise_var = rng.range_f64(1e-4, 2e-3);
+                let noise_std = noise_var.sqrt();
+                let mut ba = vec![0u8; 32];
+                rng.fill_bytes(&mut ba);
+                let mut rx = legacy_transmit(RATES[r], &ba);
+                for sym in rx.symbols.iter_mut() {
+                    for pt in sym.streams[0].iter_mut() {
+                        let re = rng.range_f64(-1.0, 1.0) * noise_std;
+                        let im = rng.range_f64(-1.0, 1.0) * noise_std;
+                        *pt += c64(re, im);
+                    }
+                }
+                let fresh = legacy_receive_with_scratch(&rx, noise_var, &mut RxScratch::new());
+                let reused = legacy_receive_with_scratch(&rx, noise_var, &mut shared);
+                prop_assert_eq!(&fresh, &reused, "legacy frame {} bytes diverged", i);
+            }
         }
     }
 

@@ -13,6 +13,7 @@ use witag::tagnet::{
 };
 use witag::FecLayout;
 use witag_faults::FaultPlan;
+use witag_obs::{TraceSummary, KINDS};
 
 const CHANNEL_BITS: usize = 62;
 
@@ -207,5 +208,97 @@ proptest! {
                 prop_assert_eq!(payload.len(), CHUNK_PAYLOAD_BITS);
             }
         }
+    }
+}
+
+/// Every key `TraceSummary::ingest_line` reads, so generated lines hit
+/// the accumulating branches rather than only the malformed path.
+const TRACE_KEYS: [&str; 19] = [
+    "schema",
+    "kind",
+    "bits",
+    "bit_errors",
+    "airtime_us",
+    "mask",
+    "queries",
+    "idle_rounds",
+    "retransmissions",
+    "resyncs",
+    "payload_bits",
+    "rounds",
+    "latency_us",
+    "llr_mean",
+    "llr_min",
+    "llr_max",
+    "triggered",
+    "ba_lost",
+    "delivered",
+];
+
+/// One JSON-ish trace line from raw draws: a kind (known or not) picked
+/// by `draw`, then one field per `(key, value)` pair whose value is a
+/// number at the extremes of `u64`, a boolean, a float or arbitrary
+/// bytes. One line in four is truncated at a random byte, so partial
+/// lines are covered too.
+fn trace_line(draw: u64, keys: &[u64], values: &[u64], junk: &[u8]) -> String {
+    let kind = KINDS
+        .get(draw as usize % (KINDS.len() + 1))
+        .copied()
+        .unwrap_or("from_the_future");
+    let junk = String::from_utf8_lossy(junk);
+    let mut line = format!("{{\"kind\":\"{kind}\"");
+    for (&key, &value) in keys.iter().zip(values) {
+        let key = TRACE_KEYS[key as usize % TRACE_KEYS.len()];
+        let value = match value % 6 {
+            0 => u64::MAX.to_string(),
+            1 => (value >> 3).to_string(),
+            2 => (value & 8 != 0).to_string(),
+            3 => format!("{:e}", f64::from_bits(value)),
+            4 => format!("\"{junk}\""),
+            _ => junk.to_string(),
+        };
+        line.push_str(&format!(",\"{key}\":{value}"));
+    }
+    line.push('}');
+    let mangle = draw >> 8;
+    if mangle.is_multiple_of(4) {
+        let cut = (mangle / 4) as usize % (line.len() + 1);
+        let cut = (0..=cut)
+            .rev()
+            .find(|&i| line.is_char_boundary(i))
+            .unwrap_or(0);
+        line.truncate(cut);
+    }
+    line
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `TraceSummary::ingest_line` reads untrusted trace files (`witag-cli
+    /// report`): any sequence of lines — extreme `u64` fields repeated
+    /// until a running total would overflow, wrong-typed values, unknown
+    /// kinds, truncated lines, arbitrary bytes — aggregates and renders
+    /// without a panic.
+    #[test]
+    fn trace_summary_survives_arbitrary_lines(
+        draws in prop::collection::vec(any::<u64>(), 1..12),
+        keys in prop::collection::vec(any::<u64>(), 0..24),
+        values in prop::collection::vec(any::<u64>(), 0..24),
+        junk in prop::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let mut s = TraceSummary::default();
+        let mut lines = 0u64;
+        for &draw in &draws {
+            let line = trace_line(draw, &keys, &values, &junk);
+            // Twice, so every extreme field is summed with itself.
+            s.ingest_line(&line);
+            s.ingest_line(&line);
+            lines += 2;
+        }
+        s.ingest_line(&String::from_utf8_lossy(&junk));
+        lines += 1;
+        prop_assert!(s.events() + s.unknown() <= lines);
+        prop_assert!(s.render().starts_with("trace summary"));
     }
 }
