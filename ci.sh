@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Tier-1 verification: build, test, lint — one reproducible command.
-# Works fully offline (proptest/criterion are path-dep shims under crates/).
+# Works fully offline (proptest is a path-dep shim under crates/).
 set -eux
 
 cargo build --release
@@ -36,55 +36,25 @@ git diff --exit-code -- LINT_report.json
 cargo run -q --release -p witag-lint -- --threads 4 --json /tmp/witag_lint_t4.json
 cmp LINT_report.json /tmp/witag_lint_t4.json
 
-# Perf gate smoke: run the baseline binary in quick mode (tiny iteration
-# counts, same code paths) and assert it emits parseable JSON — both the
-# PHY baseline and the net_scale fleet sweep. Most thresholds are judged
-# by humans against EXPERIMENTS.md § "PERF GATE", but the receive-chain
-# speedup is gated here: the quick run (a portable build, like the
-# committed configs.portable section — never compare a portable build
-# against a tuned *_native config) must stay within 30% of the
-# committed value, so a kernel regression cannot land silently. The 30%
-# slack absorbs quick-mode iteration noise, not real regressions.
-WITAG_PERF_QUICK=1 WITAG_PERF_OUT=/tmp/witag_perf_smoke.json \
-    WITAG_PERF_NET_OUT=/tmp/witag_net_smoke.json \
-    cargo run -q --release -p witag-bench --bin perf_gate > /dev/null
-python3 -c "import json; json.load(open('/tmp/witag_perf_smoke.json'))"
+# Sim-time scale tables: `net_scale` (fleet and metro fair-vs-serial,
+# ARQ vs fountain) is deterministic, so its output must match the
+# checked-in `net_scale` section of experiments_output.txt byte for byte.
+# The claims those tables carry are pinned as tests in
+# tests/net_determinism.rs; timing lives in perfbench/.
+cargo run -q --release -p witag-bench --bin net_scale > /tmp/witag_net_scale.txt
 python3 - <<'EOF'
-import json
-r = json.load(open('/tmp/witag_perf_smoke.json'))
-assert r['schema'] == 'witag-phy-bench-v4', r['schema']
-rows = r['mimo']['rows']
-seen = {(row['streams'], row['equaliser']) for row in rows}
-for nss in (1, 2, 3):
-    for eq in ('zf', 'mmse'):
-        assert (nss, eq) in seen, f'missing mimo row {nss}x{nss} {eq}'
-for row in rows:
-    assert row['receive_mu_256B_per_stream_ns'] > 0, row
-print(f"mimo gate: {len(rows)} receive_mu rows — ok")
-EOF
-python3 - <<'EOF'
-import json
-r = json.load(open('/tmp/witag_net_smoke.json'))
-assert r['schema'] == 'witag-net-scale-v4', r['schema']
-assert r['scale'], r
-rows = r['metro']['rows']
-assert rows, 'quick mode must still exercise the metro engine'
-for row in rows:
-    assert row['fair_delivered'] > 0, row
-    assert row['goodput_ratio'] > 1.0, f"metro scheduling must beat serial polling: {row}"
-print(f"net gate: {len(r['scale'])} fleet rows, {len(rows)} metro rows — ok")
-EOF
-python3 - <<'EOF'
-import json
-cur = json.load(open('/tmp/witag_perf_smoke.json'))
-ref = json.load(open('BENCH_phy.json'))
-assert cur['build']['config'] == 'portable', cur['build']
-committed = ref['configs']['portable']['speedup_vs_seed_receive_chain']
-measured = cur['speedup_vs_seed']['receive_chain']
-assert measured >= 0.7 * committed, (
-    f"receive-chain speedup regressed: measured {measured:.2f}x vs "
-    f"committed portable {committed:.2f}x (floor {0.7 * committed:.2f}x)")
-print(f"perf gate: receive chain {measured:.2f}x vs committed {committed:.2f}x — ok")
+import re
+text = open('experiments_output.txt').read()
+parts = re.split(r'^######## (\w+) ########\n', text, flags=re.M)
+names = parts[1::2]
+sections = dict(zip(names, parts[2::2]))
+want = sections['net_scale']
+# Sections are separated by one blank line; the last one is not.
+if names[-1] != 'net_scale':
+    want = want[:-1]
+got = open('/tmp/witag_net_scale.txt').read()
+assert got == want, 'net_scale output differs from experiments_output.txt'
+print('net_scale: matches experiments_output.txt')
 EOF
 
 # Trace smoke: a parallel sweep streamed to a witag-obs/2 JSONL trace,

@@ -15,12 +15,15 @@
 //! | `interference` | §2/§8 — secondary-channel victim losses |
 //! | `fec` | §4.1 future work — Hamming-coded tag channel |
 //! | `fault_sweep` | §4.1 future work — session vs stop-and-wait under injected faults |
+//! | `net_scale` | beyond the paper — fleet/metro scheduling at 1–10⁶ tags, ARQ vs fountain |
 //!
 //! Run any of them with `cargo run --release -p witag-bench --bin <name>`.
 //! Round counts are scaled by the `WITAG_ROUNDS` environment variable
 //! (default 150 rounds ≈ 9,300 tag bits per measurement point).
 //!
-//! Criterion micro-benchmarks for the hot paths live under `benches/`.
+//! Wall-clock performance is measured by the repository benchmark in
+//! `perfbench/`, not here: every binary above prints only deterministic
+//! sim-time results.
 //!
 //! The system-wide map — crate graph, data flow, determinism/replay
 //! contract, fault/observability/lint hooks — is `docs/ARCHITECTURE.md`

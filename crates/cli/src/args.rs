@@ -70,15 +70,8 @@ impl Args {
                     args.opts.insert(k.to_string(), v.to_string());
                 } else {
                     // Value is the next token unless it is another option.
-                    match iter.peek() {
-                        Some(next) if !next.starts_with("--") => {
-                            let v = iter.next().unwrap();
-                            args.opts.insert(stripped.to_string(), v);
-                        }
-                        _ => {
-                            args.opts.insert(stripped.to_string(), String::new());
-                        }
-                    }
+                    let v = iter.next_if(|next| !next.starts_with("--")).unwrap_or_default();
+                    args.opts.insert(stripped.to_string(), v);
                 }
             } else {
                 args.positionals.push(tok);
@@ -169,6 +162,36 @@ impl Args {
     }
 }
 
+/// Most points a distance sweep may have: a step the size of a float
+/// rounding error would otherwise make the point list unbounded.
+pub const MAX_SWEEP_POINTS: usize = 1000;
+
+/// The points `from, from + step, …` up to `to` (inclusive, with 1e-9 m
+/// slack for a `to` that is a float sum of steps), built by index so no
+/// rounding error accumulates. Every value must be finite, `from <= to`,
+/// `step > 0`, and the list at most [`MAX_SWEEP_POINTS`] long.
+pub fn sweep_points(from: f64, to: f64, step: f64) -> Result<Vec<f64>, ArgError> {
+    let bad = |key: &str, value: f64, expected| ArgError::BadValue {
+        key: key.to_string(),
+        value: value.to_string(),
+        expected,
+    };
+    if !from.is_finite() {
+        return Err(bad("from", from, "finite number"));
+    }
+    if !(to.is_finite() && to >= from) {
+        return Err(bad("to", to, "finite number no smaller than --from"));
+    }
+    if !(step.is_finite() && step > 0.0) {
+        return Err(bad("step", step, "finite positive number"));
+    }
+    let last = (to - from + 1e-9) / step;
+    if last >= MAX_SWEEP_POINTS as f64 {
+        return Err(bad("step", step, "step giving at most 1000 sweep points"));
+    }
+    Ok((0..=last as usize).map(|i| from + i as f64 * step).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,5 +243,35 @@ mod tests {
         let a = parse(&["--typo", "1"]);
         let _ = a.f64_or("distance", 0.0);
         assert!(matches!(a.reject_unknown(), Err(ArgError::Unknown(keys)) if keys == ["typo"]));
+    }
+
+    #[test]
+    fn sweep_points_are_built_by_index() {
+        assert_eq!(sweep_points(1.0, 7.0, 1.0).unwrap(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+        assert_eq!(sweep_points(2.5, 2.5, 1.0).unwrap(), [2.5]);
+        // Ten steps of 0.1 land on 2.0 even though the float sum misses it.
+        let pts = sweep_points(1.0, 2.0, 0.1).unwrap();
+        assert_eq!(pts.len(), 11);
+        assert_eq!(pts[3], 1.0 + 3.0 * 0.1);
+        // The cap is inclusive: 1000 points pass, 1001 do not.
+        assert_eq!(sweep_points(0.0, 999.0, 1.0).unwrap().len(), MAX_SWEEP_POINTS);
+        assert!(sweep_points(0.0, 1000.0, 1.0).is_err());
+    }
+
+    #[test]
+    fn sweep_points_reject_unbounded_or_non_finite_input() {
+        let key = |r: Result<Vec<f64>, ArgError>| match r {
+            Err(ArgError::BadValue { key, .. }) => key,
+            other => panic!("expected a bad value, got {other:?}"),
+        };
+        assert_eq!(key(sweep_points(1.0, f64::INFINITY, 1.0)), "to");
+        assert_eq!(key(sweep_points(f64::NAN, 7.0, 1.0)), "from");
+        assert_eq!(key(sweep_points(f64::NEG_INFINITY, 7.0, 1.0)), "from");
+        assert_eq!(key(sweep_points(1.0, f64::NAN, 1.0)), "to");
+        assert_eq!(key(sweep_points(7.0, 1.0, 1.0)), "to");
+        assert_eq!(key(sweep_points(1.0, 7.0, 0.0)), "step");
+        assert_eq!(key(sweep_points(1.0, 7.0, -1.0)), "step");
+        assert_eq!(key(sweep_points(1.0, 7.0, f64::NAN)), "step");
+        assert_eq!(key(sweep_points(1.0, 7.0, 1e-300)), "step");
     }
 }

@@ -46,7 +46,7 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
 
-use args::{ArgError, Args};
+use args::{sweep_points, ArgError, Args};
 use witag::experiment::{Experiment, ExperimentConfig, SecurityMode};
 use witag::moxcatter::{run_point, MoxConfig};
 use witag::query::QueryDesign;
@@ -106,6 +106,31 @@ fn fail(e: &ArgError) -> ! {
     std::process::exit(2)
 }
 
+/// Wire up a scenario, exiting 1 with the typed reason if it cannot run.
+fn experiment(cfg: ExperimentConfig) -> Experiment {
+    Experiment::new(cfg).unwrap_or_else(|e| {
+        eprintln!("scenario not viable: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// A tag distance from the client in metres (`--key`, or `default`): it
+/// must lie on the LOS client–AP segment, or the tag would sit off the
+/// line the scenario describes.
+fn tag_distance(a: &Args, key: &str, default: f64) -> Result<f64, ArgError> {
+    let d = a.f64_or(key, default)?;
+    let span = Floorplan::los_client_position().distance(Floorplan::ap_position());
+    if (0.0..=span).contains(&d) {
+        Ok(d)
+    } else {
+        Err(ArgError::BadValue {
+            key: key.to_string(),
+            value: a.raw(key).unwrap_or_default().to_string(),
+            expected: "distance in metres on the 8 m client-AP segment (0-8)",
+        })
+    }
+}
+
 fn usage() {
     eprintln!(
         "witag — MAC-layer WiFi backscatter (HotNets'18 reproduction)\n\n\
@@ -140,7 +165,7 @@ fn usage() {
 
 /// Shared scenario options.
 fn scenario(a: &Args) -> Result<ExperimentConfig, ArgError> {
-    let distance = a.f64_or("distance", 1.0)?;
+    let distance = tag_distance(a, "distance", 1.0)?;
     let seed = a.u64_or("seed", 42)?;
     let mut cfg = ExperimentConfig::fig5(distance, seed);
     if a.flag("quiet") {
@@ -179,13 +204,7 @@ fn cmd_run(a: &Args) -> Result<(), ArgError> {
     let cfg = scenario(a)?;
     let rounds = a.usize_or("rounds", 150)?;
     a.reject_unknown()?;
-    let mut exp = match Experiment::new(cfg) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("scenario not viable: {e}");
-            std::process::exit(1);
-        }
-    };
+    let mut exp = experiment(cfg);
     println!(
         "link SNR {:.1} dB; query: {:?}-{:?}, {} B subframes x {}",
         exp.snr_db(),
@@ -216,7 +235,7 @@ fn cmd_nlos(a: &Args) -> Result<(), ArgError> {
     let loc = a.str_or("location", "both").to_string();
     a.reject_unknown()?;
     let run = |name: &str, cfg: ExperimentConfig| {
-        let mut exp = Experiment::new(cfg).expect("NLOS scenario viable");
+        let mut exp = experiment(cfg);
         let mut stats = exp.run_windows(windows, rounds);
         println!(
             "location {name}: SNR {:.1} dB, mean BER {:.4}, p90 window BER {:.4}, tput {:.1} Kbps",
@@ -269,14 +288,15 @@ fn close_trace(rec: JsonlRecorder<BufWriter<File>>, path: &str) {
 }
 
 fn cmd_sweep(a: &Args) -> Result<(), ArgError> {
-    let from = a.f64_or("from", 1.0)?;
-    let to = a.f64_or("to", 7.0)?;
+    let from = tag_distance(a, "from", 1.0)?;
+    let to = tag_distance(a, "to", 7.0)?;
     let step = a.f64_or("step", 1.0)?;
     let rounds = a.usize_or("rounds", 100)?;
     let seed = a.u64_or("seed", 42)?;
     let threads = a.usize_or("threads", witag_sim::available_threads())?;
     let trace = trace_arg(a)?;
     a.reject_unknown()?;
+    let distances = sweep_points(from, to, step)?;
     println!("{:>10} {:>10} {:>14}", "dist (m)", "BER", "tput (Kbps)");
     // Sweep points are independent experiments, so they parallelise with
     // no change in output: each point's seed and round sequence are
@@ -284,16 +304,9 @@ fn cmd_sweep(a: &Args) -> Result<(), ArgError> {
     // order regardless of completion order. When tracing, each worker
     // buffers its point's events and the buffers are replayed in point
     // order, so the trace bytes are thread-count-invariant too.
-    let mut distances = Vec::new();
-    let mut d = from;
-    while d <= to + 1e-9 {
-        distances.push(d);
-        d += step.max(0.01);
-    }
     let tracing = trace.is_some();
     let results = witag_sim::par_map(distances.len(), threads, |i| {
-        let mut exp =
-            Experiment::new(ExperimentConfig::fig5(distances[i], seed)).expect("viable");
+        let mut exp = experiment(ExperimentConfig::fig5(distances[i], seed));
         if tracing {
             let mut buf = BufferRecorder::new();
             let stats = exp.run_obs(rounds, &mut buf);
@@ -359,20 +372,15 @@ fn cmd_mox(a: &Args) -> Result<(), ArgError> {
             })
         }
     };
-    let from = a.f64_or("from", 1.0)?;
-    let to = a.f64_or("to", 7.0)?;
+    let from = tag_distance(a, "from", 1.0)?;
+    let to = tag_distance(a, "to", 7.0)?;
     let step = a.f64_or("step", 1.0)?;
     let seed = a.u64_or("seed", 2)?;
     let threads = a.usize_or("threads", witag_sim::available_threads())?;
     let trace = trace_arg(a)?;
     a.reject_unknown()?;
 
-    let mut distances = Vec::new();
-    let mut d = from;
-    while d <= to + 1e-9 {
-        distances.push(d);
-        d += step.max(0.01);
-    }
+    let distances = sweep_points(from, to, step)?;
     // One point per (streams, distance) combo, globally indexed in print
     // order so the trace's `index` stamps are sweep-order stable.
     let points: Vec<(usize, f64)> = streams_list
@@ -436,7 +444,7 @@ fn cmd_mox(a: &Args) -> Result<(), ArgError> {
 }
 
 fn cmd_design(a: &Args) -> Result<(), ArgError> {
-    let distance = a.f64_or("distance", 1.0)?;
+    let distance = tag_distance(a, "distance", 1.0)?;
     let khz = a.f64_or("clock-khz", 250.0)?;
     let subframes = a.usize_or("subframes", 64)?;
     a.reject_unknown()?;
@@ -481,12 +489,11 @@ fn cmd_design(a: &Args) -> Result<(), ArgError> {
 
 fn cmd_send(a: &Args) -> Result<(), ArgError> {
     let message = a.str_or("message", "hello from the tag").to_string();
-    let distance = a.f64_or("distance", 2.0)?;
+    let distance = tag_distance(a, "distance", 2.0)?;
     let seed = a.u64_or("seed", 42)?;
     let max_queries = a.usize_or("max-queries", 400)?;
     a.reject_unknown()?;
-    let mut exp =
-        Experiment::new(ExperimentConfig::fig5(distance, seed)).expect("scenario viable");
+    let mut exp = experiment(ExperimentConfig::fig5(distance, seed));
     let n_bits = exp.design.bits_per_query();
     match deliver(message.as_bytes(), n_bits, max_queries, |tx| {
         exp.run_round(tx).readout.bits
@@ -509,15 +516,14 @@ fn cmd_send(a: &Args) -> Result<(), ArgError> {
 
 fn cmd_faults(a: &Args) -> Result<(), ArgError> {
     let message = a.str_or("message", "sensor frame 0042: 21.5C 40%RH ok").to_string();
-    let distance = a.f64_or("distance", 1.0)?;
+    let distance = tag_distance(a, "distance", 1.0)?;
     let seed = a.u64_or("seed", 42)?;
     let plan_seed = a.u64_or("plan-seed", 7)?;
     let intensity = a.f64_or("intensity", 1.0)?;
     let budget = a.usize_or("budget", 3000)?;
     let trace = trace_arg(a)?;
     a.reject_unknown()?;
-    let mut exp =
-        Experiment::new(ExperimentConfig::fig5(distance, seed)).expect("scenario viable");
+    let mut exp = experiment(ExperimentConfig::fig5(distance, seed));
     exp.attach_faults(FaultPlan::hostile_scaled(plan_seed, intensity));
     let cfg = SessionConfig {
         max_rounds: budget,

@@ -244,6 +244,12 @@ pub enum ExperimentError {
         /// The offending burst duration.
         burst: witag_sim::time::Duration,
     },
+    /// A device position has a NaN or infinite coordinate, so no link
+    /// geometry exists.
+    NonFinitePosition {
+        /// Which device: `"client"`, `"ap"` or `"tag"`.
+        device: &'static str,
+    },
 }
 
 impl core::fmt::Display for ExperimentError {
@@ -266,6 +272,9 @@ impl core::fmt::Display for ExperimentError {
             }
             ExperimentError::MarkerTooShort { burst } => {
                 write!(f, "marker burst of {burst} is shorter than a legacy frame")
+            }
+            ExperimentError::NonFinitePosition { device } => {
+                write!(f, "{device} position is not finite")
             }
         }
     }
@@ -390,6 +399,11 @@ pub struct Experiment {
 impl Experiment {
     /// Wire up a scenario.
     pub fn new(cfg: ExperimentConfig) -> Result<Experiment, ExperimentError> {
+        for (device, p) in [("client", cfg.client), ("ap", cfg.ap), ("tag", cfg.tag)] {
+            if !(p.x.is_finite() && p.y.is_finite()) {
+                return Err(ExperimentError::NonFinitePosition { device });
+            }
+        }
         let mut rng = Rng::seed_from_u64(cfg.seed);
         // The link always runs transmitter -> receiver; an AP-initiated
         // deployment simply swaps the endpoints (the protocol is
@@ -952,6 +966,26 @@ mod tests {
             stats.ber()
         );
         assert_eq!(exp.decrypt_failures, 0);
+    }
+
+    #[test]
+    fn non_finite_positions_are_rejected() {
+        assert_eq!(
+            Experiment::new(ExperimentConfig::fig5(f64::NAN, 1)).err(),
+            Some(ExperimentError::NonFinitePosition { device: "tag" })
+        );
+        let mut cfg = ExperimentConfig::fig5(1.0, 1);
+        cfg.client.x = f64::INFINITY;
+        assert_eq!(
+            Experiment::new(cfg.clone()).err(),
+            Some(ExperimentError::NonFinitePosition { device: "client" })
+        );
+        cfg.client = ExperimentConfig::fig5(1.0, 1).client;
+        cfg.ap.y = f64::NEG_INFINITY;
+        assert_eq!(
+            Experiment::new(cfg).err(),
+            Some(ExperimentError::NonFinitePosition { device: "ap" })
+        );
     }
 
     #[test]

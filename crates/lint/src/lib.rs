@@ -56,16 +56,16 @@ use std::path::{Path, PathBuf};
 
 /// Crates whose library sources must be panic-free (`.unwrap()` /
 /// `.expect()` / `panic!` / `todo!` / `unimplemented!` forbidden outside
-/// tests). These are the crates a million-round sweep executes, and the
-/// roots of the interprocedural `panic_path` pass.
+/// tests). These are the crates a million-round sweep executes, plus the
+/// CLI that parses untrusted command lines, and the roots of the
+/// interprocedural `panic_path` pass.
 pub const PANIC_SCOPE: &[&str] =
-    &["phy", "mac", "crypto", "channel", "tag", "core", "faults", "obs", "net"];
+    &["phy", "mac", "crypto", "channel", "tag", "core", "faults", "obs", "net", "cli"];
 
 /// Crates whose library sources must be deterministic (no wall-clock, no
 /// ad-hoc threads, no entropy, no default-hasher collections). Everything
-/// the simulator links, plus the CLI and this linter itself; `bench` and
-/// the offline shim crates (`criterion`, `proptest`) legitimately touch
-/// `std::time` and stay out.
+/// the simulator links, plus the CLI and this linter itself; the `bench`
+/// harness and the offline `proptest` shim stay out.
 pub const DETERMINISM_SCOPE: &[&str] = &[
     "phy", "mac", "crypto", "channel", "tag", "core", "faults", "sim", "baselines", "cli", "lint",
     "obs", "net",
@@ -84,12 +84,12 @@ pub const DOCS_SCOPE: &[&str] = &[
     "obs", "net",
 ];
 
-/// Crate dirs excluded from the call graph: `bench` and the offline shim
-/// crates re-implement std-ish APIs (timers, samplers) whose internals
-/// are deliberately wall-clock; wiring them in through name-based method
-/// resolution would attach their nondeterminism to unrelated callers.
+/// Crate dirs excluded from the call graph: the `bench` harness and the
+/// offline `proptest` shim, which re-implements std-ish APIs (samplers,
+/// runners); wiring it in through name-based method resolution would
+/// attach its internals to unrelated callers.
 /// They still get the full per-file passes and the consistency passes.
-pub const GRAPH_EXCLUDE: &[&str] = &["bench", "criterion", "proptest"];
+pub const GRAPH_EXCLUDE: &[&str] = &["bench", "proptest"];
 
 /// One source file of a (real or virtual) workspace — the unit the
 /// analyzer fans out over. Integration tests build these by hand to pin

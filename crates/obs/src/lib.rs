@@ -114,8 +114,9 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
 ///
 /// Instrumented entry points take `&mut NullRecorder` on their plain
 /// (un-suffixed) variants, so an uninstrumented caller pays one branch
-/// per seam per round — nothing else. The perf gate
-/// (`witag-bench --bin perf_gate`) measures this path.
+/// per seam per round — nothing else. The repository benchmark
+/// (`perfbench/`) measures the attached recorder's cost against this
+/// path as `obs.overhead_pct`.
 ///
 /// ```
 /// use witag_obs::{NullRecorder, Recorder};

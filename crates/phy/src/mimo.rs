@@ -516,7 +516,7 @@ mod tests {
     fn mu_loopback_recovers_every_stream() {
         let mut rng = Rng::seed_from_u64(79);
         for nss in 1..=3usize {
-            let config = PhyConfig::new(Mcs::ht(8 * nss - 1)); // densest per count
+            let mut config = PhyConfig::new(Mcs::ht(8 * nss - 1)); // densest per count
             let psdus: Vec<Vec<u8>> = (0..nss)
                 .map(|_| {
                     let mut p = vec![0u8; 90];
@@ -524,12 +524,15 @@ mod tests {
                     p
                 })
                 .collect();
-            let ppdu = transmit_mu(&config, &psdus);
-            assert_eq!(ppdu.ltfs.len(), ht_ltf_count(nss));
-            let decoded = receive_mu(&ppdu, 1e-4);
-            assert_eq!(decoded.len(), nss);
-            for (i, d) in decoded.iter().enumerate() {
-                assert_eq!(d.bytes, psdus[i], "nss={nss} stream {i}");
+            for eq in [MimoEqualiser::Zf, MimoEqualiser::Mmse] {
+                config.equaliser = eq;
+                let ppdu = transmit_mu(&config, &psdus);
+                assert_eq!(ppdu.ltfs.len(), ht_ltf_count(nss));
+                let decoded = receive_mu(&ppdu, 1e-4);
+                assert_eq!(decoded.len(), nss);
+                for (i, d) in decoded.iter().enumerate() {
+                    assert_eq!(d.bytes, psdus[i], "nss={nss} {eq:?} stream {i}");
+                }
             }
         }
     }

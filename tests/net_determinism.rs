@@ -153,8 +153,8 @@ fn fountain_beats_arq_on_the_hostile_loaded_fleet() {
     // The PR-6 acceptance condition, pinned: under the stock PR-1
     // hostile fault plan on every link of a 100-tag loaded fleet, the
     // fountain transport delivers at least the ARQ stack's payload
-    // count with lower p99 latency. Mirrors the perf_gate intensity-1.0
-    // rows in BENCH_net.json.
+    // count with lower p99 latency. Mirrors the intensity-1.0 transport
+    // rows of `net_scale` (experiments_output.txt).
     let run = |transport: Transport| {
         let mut cfg =
             FleetConfig::inventory(2, 100, SchedulerKind::Fair, Duration::secs(30), 0xBE)
@@ -178,6 +178,32 @@ fn fountain_beats_arq_on_the_hostile_loaded_fleet() {
         fount_p99 < arq_p99,
         "fountain p99 must beat ARQ: {fount_p99:.0}us vs {arq_p99:.0}us"
     );
+}
+
+#[test]
+fn metro_scheduling_beats_serial_polling() {
+    // The 10^3- and 10^4-tag metro rows of `net_scale`
+    // (experiments_output.txt), pinned: on a duty-cycled inventory (8 %
+    // ON over 4 s periods) the fair scheduler reads every tag and beats
+    // serial polling's goodput by more than 15x (17.04x and 17.35x as
+    // committed).
+    for (tags, cells) in [(1000usize, 4usize), (10_000, 16)] {
+        let run = |kind: SchedulerKind| {
+            let cfg =
+                MetroConfig::inventory(cells, cells, tags, kind, Duration::secs(60), 0xBE)
+                    .with_duty_cycle(Duration::secs(4), 0.08);
+            run_metro(&cfg, 2, &mut NullRecorder).expect("viable metro")
+        };
+        let fair = run(SchedulerKind::Fair);
+        let serial = run(SchedulerKind::Serial);
+        assert_eq!(fair.delivered, tags, "{tags} tags: fair must read every tag");
+        assert!(serial.delivered > 0, "{tags} tags: serial polling must read some tags");
+        let ratio = fair.goodput_bps() / serial.goodput_bps();
+        assert!(
+            ratio > 15.0,
+            "{tags} tags: fair scheduling must beat serial polling by >15x, got {ratio:.2}x"
+        );
+    }
 }
 
 #[test]
